@@ -29,7 +29,7 @@ from .events import (
     long_edge_spec,
 )
 from .graph import GeomGraph, build_graph
-from .models import ModelSpec, mark_averaged_connection, phibar_breakpoints, phibar_support
+from .models import ModelSpec, mark_averaged_connection, max_range, phibar_breakpoints
 from .ppp import Window, ball_window, sample_ppp, sphere_surface, unit_ball_volume
 from .quadrature import DIVERGENT, INCONCLUSIVE, cap_fraction_outside, radial_integral, set_covariance_radial
 from .rng import mix
@@ -268,7 +268,7 @@ def campbell_long_edges(
         raise ContractError("expected-count formulas need a pairwise connection function")
     d = model.d
     phibar = np.vectorize(lambda rho: mark_averaged_connection(model, rho), otypes=[float])
-    support = phibar_support(model)
+    support = max_range(model)
     lower = c * r
     if upper is not None:
         if not upper > lower:
@@ -300,7 +300,7 @@ def campbell_total_edges(model: ModelSpec, intensity: float, window: Window) -> 
         return mark_averaged_connection(model, rho) * set_covariance_radial(window, rho)
 
     bps = sorted({b for b in phibar_breakpoints(model) if 0 < b < diameter})
-    support = min(phibar_support(model), diameter)
+    support = min(max_range(model), diameter)
     pieces = [0.0] + [b for b in bps if b < support] + [support]
     total = 0.0
     for a, b in zip(pieces, pieces[1:]):
@@ -335,7 +335,7 @@ def truncation_bound(model: ModelSpec, intensity: float, window: Window, ell: fl
     d = eff.d
     r_win = window.radius
     phibar = np.vectorize(lambda rho: mark_averaged_connection(eff, rho), otypes=[float])
-    support = phibar_support(eff)
+    support = max_range(eff)
     model_bps = phibar_breakpoints(eff)
 
     def inner(s: float) -> float:

@@ -9,16 +9,21 @@ its parent (see the coupling module).
 Two enumeration paths produce identical edge sets: an exact blocked O(n^2)
 sweep, and a kd-tree candidate search for models with a finite connection
 range.  Both are deterministic and thread-schedule independent.
+
+Component labels are computed from the edge array on first use, by numpy
+hooking and pointer jumping (no sparse matrix is built), so events that read
+only edges never pay for them.  Labels number components by their smallest
+vertex: vertex 0 is in component 0, the lowest vertex outside it starts
+component 1, and so on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, ResourceError
@@ -65,19 +70,55 @@ def complement_region(center, radius: float) -> Region:
     return Region(kind="ball_complement", center=center, radius=radius)
 
 
+def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of n vertices, given (m, 2) edges.
+
+    Every round hooks each tree root to the smallest root across its edges,
+    then pointer-jumps until each vertex points at its root.  Parents only
+    ever decrease, so each root is its component's smallest vertex; the label
+    is that vertex's rank among the roots.
+    """
+    parent = np.arange(n)
+    if edges.shape[0] == 0:
+        return parent
+    i, j = edges[:, 0], edges[:, 1]
+    while True:
+        pi, pj = parent[i], parent[j]
+        split = pi != pj
+        if not split.any():
+            break
+        pi, pj = pi[split], pj[split]
+        np.minimum.at(parent, np.maximum(pi, pj), np.minimum(pi, pj))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    is_root = parent == np.arange(n)
+    return (np.cumsum(is_root) - 1)[parent]
+
+
 @dataclass(frozen=True)
 class GeomGraph:
-    """Immutable graph on a cloud: edges, adjacency, component labels."""
+    """Immutable graph on a cloud: its edges, and component labels on demand.
+
+    ``component_labels`` is computed from ``edges`` with numpy alone (no
+    scipy.sparse matrix) the first time it is read, then cached and
+    read-only; components are numbered in the order of their smallest vertex.
+    """
 
     cloud: PointCloud
     seed: int
     edges: np.ndarray  # (m, 2) int64, i < j, lexicographically sorted
-    component_labels: np.ndarray  # (n,)
-    adjacency: sparse.csr_matrix  # symmetric boolean
 
     def __post_init__(self):
-        for arr in (self.edges, self.component_labels):
-            arr.flags.writeable = False
+        self.edges.flags.writeable = False
+
+    @cached_property
+    def component_labels(self) -> np.ndarray:
+        labels = _component_labels(self.n_vertices, self.edges)
+        labels.flags.writeable = False
+        return labels
 
     @property
     def n_vertices(self) -> int:
@@ -96,20 +137,11 @@ class GeomGraph:
 
 
 def _finalize_graph(cloud: PointCloud, seed: int, ii: np.ndarray, jj: np.ndarray) -> GeomGraph:
-    n = len(cloud)
     edges = np.stack([ii, jj], axis=1).astype(np.int64) if ii.size else np.empty((0, 2), dtype=np.int64)
     if edges.shape[0]:
         order = np.lexsort((edges[:, 1], edges[:, 0]))
         edges = edges[order]
-    if edges.shape[0]:
-        data = np.ones(edges.shape[0], dtype=np.int8)
-        coo = sparse.coo_matrix((data, (edges[:, 0], edges[:, 1])), shape=(n, n))
-        adj = (coo + coo.T).tocsr()
-        _, labels = csgraph.connected_components(adj, directed=False)
-    else:
-        adj = sparse.csr_matrix((n, n), dtype=np.int8)
-        labels = np.arange(n)
-    return GeomGraph(cloud=cloud, seed=seed, edges=edges, component_labels=labels, adjacency=adj)
+    return GeomGraph(cloud=cloud, seed=seed, edges=edges)
 
 
 def _screen_pairs(cloud, model, seed, ii, jj, context_tree):
@@ -122,11 +154,13 @@ def _screen_pairs(cloud, model, seed, ii, jj, context_tree):
     keep = u < probs
     if model.variant == "generalized" and np.any(keep):
         # damping only lowers probabilities, so the base screen is a superset
-        ki, kj, ku, kd = ii[keep], jj[keep], u[keep], dists[keep]
+        ki, kj, ku = ii[keep], jj[keep], u[keep]
         mids = 0.5 * (pos[ki] + pos[kj])
-        counts = context_tree.query_ball_point(mids, model.damping_radius, return_length=True)
-        endpoints_in = (0.5 * kd <= model.damping_radius).astype(np.int64)
-        ctx = np.asarray(counts, dtype=np.int64) - 2 * endpoints_in
+        hits = cKDTree(mids).sparse_distance_matrix(context_tree, model.damping_radius, output_type="ndarray")
+        # the pair's own endpoints are dropped by index: recomputing the tree's
+        # distance test can round the other way at ties
+        own = (hits["j"] == ki[hits["i"]]) | (hits["j"] == kj[hits["i"]])
+        ctx = np.bincount(hits["i"][~own], minlength=ki.size)
         damped = probs[keep] * model.damping_factor**ctx
         final = ku < damped
         return ki[final], kj[final]
@@ -211,6 +245,13 @@ def build_graph(
     return _finalize_graph(cloud, seed, ii, jj)
 
 
+def _share_component(labels: np.ndarray, in_a: np.ndarray, in_b: np.ndarray) -> bool:
+    """Whether some label occurs both on the in_a vertices and on the in_b vertices."""
+    seen = np.zeros(labels.size, dtype=bool)  # labels lie in [0, n)
+    seen[labels[in_a]] = True
+    return bool(seen[labels[in_b]].any())
+
+
 def connected_regions(graph: GeomGraph, region_a: Region, region_b: Region) -> bool:
     """Whether some component holds a vertex in each region."""
     pos = graph.cloud.positions
@@ -220,15 +261,17 @@ def connected_regions(graph: GeomGraph, region_a: Region, region_b: Region) -> b
     in_b = region_b.contains(pos)
     if not (in_a.any() and in_b.any()):
         return False
-    labels_a = np.unique(graph.component_labels[in_a])
-    labels_b = np.unique(graph.component_labels[in_b])
-    return bool(np.intersect1d(labels_a, labels_b, assume_unique=True).size > 0)
+    return _share_component(graph.component_labels, in_a, in_b)
 
 
 def connected_regions_restricted(
     graph: GeomGraph, region_a: Region, region_b: Region, through: Region
 ) -> bool:
-    """Whether a path from region_a to region_b exists using only vertices in ``through``."""
+    """Whether a path from region_a to region_b exists using only vertices in ``through``.
+
+    Labels the components of the graph that keeps only edges with both
+    endpoints in ``through``; vertices outside it are then isolated.
+    """
     pos = graph.cloud.positions
     if graph.n_vertices == 0:
         return False
@@ -239,11 +282,9 @@ def connected_regions_restricted(
     in_b = region_b.contains(pos) & in_s
     if not (in_a.any() and in_b.any()):
         return False
-    sub = graph.adjacency[in_s][:, in_s]
-    _, sub_labels = csgraph.connected_components(sub, directed=False)
-    labels_a = np.unique(sub_labels[in_a[in_s]])
-    labels_b = np.unique(sub_labels[in_b[in_s]])
-    return bool(np.intersect1d(labels_a, labels_b, assume_unique=True).size > 0)
+    e = graph.edges
+    labels = _component_labels(graph.n_vertices, e[in_s[e[:, 0]] & in_s[e[:, 1]]])
+    return _share_component(labels, in_a, in_b)
 
 
 def dump_graph(graph: GeomGraph, stream) -> None:

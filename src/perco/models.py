@@ -574,18 +574,6 @@ def mark_averaged_connection(model: ModelSpec, rho):
     return float(out[0]) if np.ndim(rho) == 0 else out
 
 
-def phibar_support(model: ModelSpec) -> float:
-    """Largest distance with nonzero mark-averaged connection probability."""
-    if model.variant == "boolean":
-        return 2.0 * model.radius_law.bound
-    if model.variant == "generalized":
-        return phibar_support(model.base)
-    if model.kernel.uses_weights:
-        return math.inf
-    support = model.profile.support
-    return (support * model.beta) ** (1.0 / model.d) if math.isfinite(support) else math.inf
-
-
 def phibar_breakpoints(model: ModelSpec) -> list[float]:
     """Distances where the mark-averaged connection may kink (quadrature hints)."""
     if model.variant == "generalized":
@@ -598,11 +586,6 @@ def phibar_breakpoints(model: ModelSpec) -> list[float]:
         if math.isfinite(c) and c > 0:
             pts.append((c * model.beta) ** (1.0 / model.d))
     return sorted(set(pts))
-
-
-def _pair_prob_fn(model: ModelSpec):
-    """(marks_a, marks_b, dists) -> probabilities, for boolean/classical models."""
-    return lambda s, t, r: pairwise_prob(model, s, t, r)
 
 
 @dataclass(frozen=True)
@@ -661,7 +644,7 @@ def validate_framework(
     """
     if model.variant == "generalized":
         raise ContractError("validate the classical base of a generalized model")
-    pair = phi if phi is not None else _pair_prob_fn(model)
+    pair = phi if phi is not None else (lambda s, t, r: pairwise_prob(model, s, t, r))
     gen = substream(seed, "framework")
     scale = max(phibar_breakpoints(model) or [1.0])
     s = gen.uniform(size=n_samples).clip(1e-12, 1 - 1e-12)
@@ -691,7 +674,7 @@ def validate_framework(
         lambda rho: _phibar_scalar(model, rho),
         model.d,
         lower=0.0,
-        support=phibar_support(model),
+        support=max_range(model),
         breakpoints=phibar_breakpoints(model),
     )
     value = sphere_surface(model.d) * res.value if math.isfinite(res.value) else res.value

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -43,19 +43,29 @@ def _as_words(part) -> list[int]:
         for k in range(0, len(raw), 8):
             words.append(int.from_bytes(raw[k : k + 8], "little"))
         return words
-    return [int(part) & 0xFFFFFFFFFFFFFFFF]
+    return [int(part) & _MASK64]
+
+
+def _finalize_int(x: int) -> int:
+    """The splitmix64 finalizer of ``_finalize`` on one Python int in [0, 2**64)."""
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
+    return x ^ (x >> 31)
 
 
 def mix(seed: int, *path) -> int:
     """Collapse (seed, path...) into one well-mixed 64-bit key.
 
     Path elements are integers or short string tags naming the purpose.
+    Computed in pure Python integers, masked to 64 bits after every step, so
+    the result is bit-identical to the uint64 splitmix chain (``_absorb``)
+    that ``pair_uniforms`` runs on arrays.
     """
-    state = _finalize(np.asarray(int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
+    state = _finalize_int(int(seed) & _MASK64)
     for part in path:
         for word in _as_words(part):
-            state = _absorb(state, word)
-    return int(state)
+            state = _finalize_int(((state + _GOLDEN) & _MASK64) ^ word)
+    return state
 
 
 def substream(seed: int, *path) -> np.random.Generator:

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import reference
 from perco.errors import ConfigurationError, ResourceError
+from perco.events import crossing_event, long_edge_event
 from perco.graph import (
+    GeomGraph,
     ball_region,
     build_graph,
     complement_region,
@@ -22,6 +26,7 @@ from perco.models import (
     catalog,
     classical_model,
     demo_generalized,
+    generalized_model,
     indicator_profile,
     mark_averaged_connection,
     pairwise_prob,
@@ -103,6 +108,91 @@ def test_matches_naive_reference_all_variants():
         cloud = sample_ppp(box_window([0, 0], [7, 7]), 1.5, seed=444)
         fast = build_graph(cloud, model, seed=3, method="grid")
         assert list(map(tuple, fast.edges.tolist())) == reference.naive_edges(cloud, model, 3)
+
+
+def test_generalized_damping_tie_excludes_endpoints_by_index():
+    # the midpoint of a unit-length pair is at distance 0.5 = damping_radius
+    # from both endpoints; the kd-tree and a recomputed 0.5*dist test can
+    # round differently there, so the endpoints must be dropped by index
+    model = generalized_model(
+        classical_model(2, Kernel("plain"), indicator_profile(2.0)), damping_radius=0.5, damping_factor=0.5
+    )
+    gen = substream(5, "ties")
+    w = ball_window(10.0, d=2)
+    for k in range(2000):
+        a = gen.uniform(-3.0, 3.0, size=2)
+        angle = gen.uniform(0.0, 2.0 * math.pi)
+        b = a + np.array([math.cos(angle), math.sin(angle)])
+        cloud = PointCloud(window=w, intensity=1.0, positions=np.array([a, b]), marks=np.array([0.3, 0.6]), seed=k)
+        fast = build_graph(cloud, model, seed=k)
+        assert list(map(tuple, fast.edges.tolist())) == reference.naive_edges(cloud, model, k), k
+
+
+def _graph_from_edges(positions, edges) -> GeomGraph:
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    edges = np.asarray(sorted({(min(i, j), max(i, j)) for i, j in edges if i != j}), dtype=np.int64)
+    return GeomGraph(cloud=_path_cloud(positions), seed=0, edges=edges.reshape(-1, 2))
+
+
+@st.composite
+def _edge_lists(draw, max_n=40):
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists())
+def test_component_labels_equal_bfs_labels(case):
+    n, edge_list = case
+    g = _graph_from_edges(np.zeros((n, 2)), edge_list)
+    assert g.component_labels.tolist() == reference.bfs_components(n, g.edges.tolist())
+    assert not g.component_labels.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 2**32 - 1))
+def test_component_labels_shuffled_long_path(n, seed):
+    # a path visiting the vertices in random order needs many hook rounds
+    # and long pointer-jump chains
+    order = np.random.default_rng(seed).permutation(n).tolist()
+    path = list(zip(order[:-1], order[1:]))
+    g = _graph_from_edges(np.zeros((n, 2)), path)
+    assert g.component_labels.tolist() == [0] * n
+    # cut in two halves: labels still follow the smallest vertex
+    cut = _graph_from_edges(np.zeros((n, 2)), path[: n // 2] + path[n // 2 + 1 :])
+    assert cut.component_labels.tolist() == reference.bfs_components(n, cut.edges.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists(max_n=30), st.integers(0, 2**32 - 1))
+def test_restricted_crossing_equals_induced_subgraph_bfs(case, seed):
+    n, edge_list = case
+    gen = np.random.default_rng(seed)
+    g = _graph_from_edges(gen.uniform(-3.0, 3.0, size=(n, 2)), edge_list)
+    a = ball_region(gen.uniform(-1.0, 1.0, size=2), gen.uniform(0.2, 2.0))
+    b = complement_region(gen.uniform(-1.0, 1.0, size=2), gen.uniform(0.5, 3.0))
+    s = ball_region(gen.uniform(-1.0, 1.0, size=2), gen.uniform(0.5, 5.0))
+    pos = g.cloud.positions
+    expected = reference.bfs_path_exists(
+        n,
+        g.edges.tolist(),
+        np.flatnonzero(a.contains(pos)).tolist(),
+        np.flatnonzero(b.contains(pos)).tolist(),
+        np.flatnonzero(s.contains(pos)).tolist(),
+    )
+    assert connected_regions_restricted(g, a, b, s) == expected
+
+
+def test_component_labels_are_lazy():
+    cloud = sample_ppp(ball_window(2.5, d=2), 2.0, seed=31)
+    g = build_graph(cloud, catalog(2)["plain-indicator"], seed=31)
+    long_edge_event(g, 1.0, 1.0)
+    assert "component_labels" not in g.__dict__
+    crossing_event(g, 1.0)
+    assert "component_labels" in g.__dict__
 
 
 def test_components_match_bfs_many_graphs():

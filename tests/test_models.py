@@ -22,7 +22,6 @@ from perco.models import (
     max_range,
     pairwise_prob,
     phibar_breakpoints,
-    phibar_support,
     polynomial_profile,
     validate_framework,
     weight_from_mark,
@@ -277,7 +276,7 @@ def test_mark_average_monotone_and_plain():
     b = catalog(2)["boolean-fixed"]
     assert mark_averaged_connection(b, 0.99) == 1.0
     assert mark_averaged_connection(b, 1.0) == 0.0
-    assert phibar_support(b) == pytest.approx(1.0)
+    assert max_range(b) == pytest.approx(1.0)
     assert phibar_breakpoints(b) == [1.0]
 
 

@@ -49,3 +49,26 @@ def test_point_uniforms_uniform_and_keyed_by_id():
     assert stats.kstest(v, "uniform").pvalue > 0.01
     assert np.array_equal(point_uniforms(11, ids[::7]), v[::7])
     assert not np.array_equal(point_uniforms(12, ids), v)
+
+
+# values of the uint64 numpy splitmix chain, recorded before mix became pure-int
+_MIX_GOLDEN = [
+    ((0,), 0x0),
+    ((1,), 0x5692161D100B05E5),
+    ((-1,), 0xB4D055FCF2CBBD7B),
+    ((-12345, 7), 0xCF30FAAA042114BB),
+    ((2**64,), 0x0),
+    ((2**64 + 5, 3), 0xA969EF050A1AFE21),
+    ((2**70, "rep"), 0x52E6B477CC6905A5),
+    ((42, -1, -(2**63)), 0x0901832170E2D537),
+    ((42, 2**64 - 1, 10**30), 0x5717139CDA740352),
+    ((7, "rep", 3), 0x18186EFFA57536A6),
+    ((7, "thin"), 0x2A5D941198AD6D36),
+    ((9, "a-tag-longer-than-eight-bytes", 5), 0x34DB95A52C1C5284),
+    ((123456789, "rep", 0, "rng"), 0x015FDCE11642BF55),
+]
+
+
+def test_mix_golden_values():
+    for args, expected in _MIX_GOLDEN:
+        assert mix(*args) == expected, args
