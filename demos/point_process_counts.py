@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from perco import ball_window, box_window, sample_ppp, window_volume
+from perco import ball_window, box_window, sample_ppp
 from perco.rng import mix
 
 
@@ -20,7 +20,7 @@ def count_stats(window, intensity, n_reps, seed):
         counts[i] = cloud.positions.shape[0]
         mark_mean += cloud.marks.sum()
         total += cloud.marks.size
-    target = intensity * window_volume(window)
+    target = intensity * window.volume()
     return target, counts.mean(), counts.var(ddof=1), mark_mean / max(total, 1)
 
 

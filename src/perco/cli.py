@@ -16,7 +16,6 @@ limits, 1 internal consistency failures.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -111,7 +110,7 @@ def cmd_estimate(cfg: ParsedConfig, out: str) -> list:
     cfg.ensure_all_used()
     window = event.window(model.d, margin=run.margin)
     ell = event.truncation_radius()
-    unit_bias = truncation_bound(model, 1.0, window, ell) if window.kind == "ball" else math.nan
+    unit_bias = truncation_bound(model, 1.0, window, ell)
     rows = []
     for j, lam in enumerate(run.intensities):
         est = estimate_event(

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import stats
 
 from .errors import ConfigurationError, ContractError
 from .events import (
@@ -31,7 +31,7 @@ from .events import (
 from .graph import GeomGraph, build_graph
 from .models import ModelSpec, mark_averaged_connection, max_range, phibar_breakpoints
 from .ppp import Window, ball_window, sample_ppp, sphere_surface, unit_ball_volume
-from .quadrature import DIVERGENT, INCONCLUSIVE, cap_fraction_outside, radial_integral, set_covariance_radial
+from .quadrature import DIVERGENT, INCONCLUSIVE, lens_volume, radial_integral, set_covariance_radial
 from .rng import mix
 
 DEFAULT_CONFIDENCE = 0.95
@@ -244,12 +244,38 @@ def _campbell_or_nan(model: ModelSpec, intensity: float, r: float, c: float) -> 
         return math.nan
 
 
+def _phibar_integral(
+    model: ModelSpec, weight, lower: float = 0.0, support: float = math.inf, breakpoints=()
+) -> float:
+    """Integral of rho^{d-1} phibar(rho) weight(rho) over [lower, support).
+
+    The one quadrature behind the Campbell counts: inf when the tail
+    diverges, ConfigurationError when it cannot be classified.  The weight's
+    ``breakpoints`` join the model's; the largest also sets the distance
+    beyond which radial_integral extrapolates an infinite tail.
+    """
+    result = radial_integral(
+        lambda rho: mark_averaged_connection(model, rho) * weight(rho),
+        d=model.d,
+        lower=lower,
+        support=min(support, max_range(model)),
+        breakpoints=[*phibar_breakpoints(model), *breakpoints],
+    )
+    if result.verdict == DIVERGENT:
+        return math.inf
+    if result.verdict == INCONCLUSIVE:
+        raise ConfigurationError(
+            "tail integral could not be classified as convergent or divergent; "
+            f"note: {result.note}"
+        )
+    return result.value
+
+
 def campbell_long_edges(
     model: ModelSpec,
     intensity: float,
     r: float,
     c: float,
-    rho_max: float | None = None,
     upper: float | None = None,
 ) -> float:
     """Expected number of (point-in-ball, long-edge) incidences.
@@ -267,54 +293,22 @@ def campbell_long_edges(
     if model.variant == "generalized":
         raise ContractError("expected-count formulas need a pairwise connection function")
     d = model.d
-    phibar = np.vectorize(lambda rho: mark_averaged_connection(model, rho), otypes=[float])
-    support = max_range(model)
     lower = c * r
-    if upper is not None:
-        if not upper > lower:
-            raise ConfigurationError("length cutoff must exceed c*r")
-        support = min(support, upper)
-    if support <= lower:
-        return 0.0
-    bps = [b for b in phibar_breakpoints(model) if lower < b < support]
-    result = radial_integral(phibar, d=d, lower=lower, support=support, breakpoints=bps, rho_max=rho_max)
-    if result.verdict == DIVERGENT:
-        return math.inf
-    if result.verdict == INCONCLUSIVE:
-        raise ConfigurationError(
-            "tail integral could not be classified as convergent or divergent; "
-            f"note: {result.note}"
-        )
-    ball_vol = unit_ball_volume(d) * r**d
-    return intensity**2 * ball_vol * sphere_surface(d) * result.value
+    if upper is not None and not upper > lower:
+        raise ConfigurationError("length cutoff must exceed c*r")
+    value = _phibar_integral(model, lambda rho: 1.0, lower, math.inf if upper is None else upper)
+    return intensity**2 * unit_ball_volume(d) * r**d * sphere_surface(d) * value
 
 
 def campbell_total_edges(model: ModelSpec, intensity: float, window: Window) -> float:
     """Expected number of edges with both endpoints in the window."""
     if model.variant == "generalized":
         raise ContractError("expected-count formulas need a pairwise connection function")
-    d = model.d
-    diameter = _window_diameter(window)
-
-    def integrand(rho):
-        return mark_averaged_connection(model, rho) * set_covariance_radial(window, rho)
-
-    bps = sorted({b for b in phibar_breakpoints(model) if 0 < b < diameter})
-    support = min(max_range(model), diameter)
-    pieces = [0.0] + [b for b in bps if b < support] + [support]
-    total = 0.0
-    for a, b in zip(pieces, pieces[1:]):
-        val, _ = integrate.quad(
-            lambda rho: rho ** (d - 1) * integrand(rho), a, b, epsabs=1e-13, epsrel=1e-10, limit=200
-        )
-        total += val
-    return 0.5 * intensity**2 * sphere_surface(d) * total
-
-
-def _window_diameter(window: Window) -> float:
-    if window.kind == "ball":
-        return 2.0 * window.radius
-    return float(np.linalg.norm(window.upper - window.lower))
+    # a ball's set covariance vanishes beyond its diameter; a box's raises on
+    # the shifts it does not cover
+    support = 2.0 * window.radius if window.kind == "ball" else math.inf
+    value = _phibar_integral(model, lambda rho: set_covariance_radial(window, rho), support=support)
+    return 0.5 * intensity**2 * sphere_surface(model.d) * value
 
 
 def truncation_bound(model: ModelSpec, intensity: float, window: Window, ell: float) -> float:
@@ -322,8 +316,12 @@ def truncation_bound(model: ModelSpec, intensity: float, window: Window, ell: fl
 
     Events decided by paths inside B(0, ell) can only be affected by
     truncation if such an edge exists, so this expectation bounds the bias of
-    estimating them on the finite window (Markov inequality).  Ball windows
-    only; returns 0 exactly for ell = 0.
+    estimating them on the finite window (Markov inequality).  A shift by rho
+    moves the part of B(0, ell) outside the lens with B(rho u, R) out of the
+    window, whatever the direction u, so by the Campbell formula the bound is
+    intensity^2 * sigma_d * integral of rho^{d-1} phibar(rho) *
+    (|B(0, ell)| - lens(ell, R, rho)) over rho > R - ell.  Ball windows only;
+    returns 0 exactly for ell = 0.
     """
     eff = model.base if model.variant == "generalized" else model
     if window.kind != "ball":
@@ -332,45 +330,14 @@ def truncation_bound(model: ModelSpec, intensity: float, window: Window, ell: fl
         return 0.0
     if ell < 0 or not window.contains_ball(np.zeros(eff.d), ell):
         raise ConfigurationError("ell must be nonnegative and inside the window")
-    d = eff.d
-    r_win = window.radius
-    phibar = np.vectorize(lambda rho: mark_averaged_connection(eff, rho), otypes=[float])
-    support = max_range(eff)
-    model_bps = phibar_breakpoints(eff)
-
-    def inner(s: float) -> float:
-        lo = max(r_win - s, 0.0)
-        if support <= lo:
-            return 0.0
-
-        def fn(rho):
-            rho = np.asarray(rho, dtype=float)
-            frac = np.array([cap_fraction_outside(d, s, float(p), r_win) for p in np.atleast_1d(rho)])
-            return (phibar(rho) * frac).reshape(np.shape(rho))
-
-        bps = [b for b in model_bps if b > lo] + ([s + r_win] if s + r_win > lo else [])
-        res = radial_integral(fn, d=d, lower=lo, support=support, breakpoints=sorted(set(bps)))
-        if res.verdict == DIVERGENT:
-            return math.inf
-        if res.verdict == INCONCLUSIVE:
-            raise ConfigurationError(f"truncation tail not classifiable: {res.note}")
-        return res.value
-
-    vals_at = {}
-
-    def outer(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = []
-        for sv in s_arr:
-            if sv not in vals_at:
-                vals_at[sv] = inner(float(sv)) * sv ** (d - 1)
-            out.append(vals_at[sv])
-        return np.array(out).reshape(np.shape(s))
-
-    body, _ = integrate.quad(outer, 0.0, ell, epsabs=1e-12, epsrel=1e-8, limit=100)
-    if math.isinf(body) or any(math.isinf(v) for v in vals_at.values()):
-        return math.inf
-    return intensity**2 * sphere_surface(d) ** 2 * body
+    d, r_win = eff.d, window.radius
+    ball = unit_ball_volume(d) * ell**d
+    # the weight rises from 0 at R - ell to |B(0, ell)| at R + ell; splitting
+    # at R keeps the tail cutoff on the window's scale
+    value = _phibar_integral(
+        eff, lambda rho: ball - lens_volume(d, ell, r_win, rho), lower=r_win - ell, breakpoints=(r_win,)
+    )
+    return intensity**2 * sphere_surface(d) * value
 
 
 @dataclass(frozen=True)

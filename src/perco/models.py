@@ -343,16 +343,6 @@ def connection_prob(model: ModelSpec, a: MarkedPoint, b: MarkedPoint) -> float:
     return float(pairwise_prob(model, a.mark, b.mark, dist))
 
 
-def context_damping_exponent(model: ModelSpec, a: MarkedPoint, b: MarkedPoint, context_positions) -> int:
-    """Number of context points within damping_radius of the pair midpoint."""
-    positions = np.asarray(context_positions, dtype=float).reshape(-1, model.d)
-    if positions.shape[0] == 0:
-        return 0
-    midpoint = 0.5 * (a.position + b.position)
-    d2 = np.sum((positions - midpoint) ** 2, axis=1)
-    return int(np.count_nonzero(d2 <= model.damping_radius**2))
-
-
 def connection_prob_ctx(model: ModelSpec, a: MarkedPoint, b: MarkedPoint, context) -> float:
     """Connection probability given the surrounding configuration.
 
@@ -362,8 +352,11 @@ def connection_prob_ctx(model: ModelSpec, a: MarkedPoint, b: MarkedPoint, contex
     if model.variant != "generalized":
         return connection_prob(model, a, b)
     base_p = connection_prob(model.base, a, b)
-    positions = context.positions if isinstance(context, PointCloud) else np.asarray(context, dtype=float)
-    n_close = context_damping_exponent(model, a, b, positions)
+    positions = context.positions if isinstance(context, PointCloud) else context
+    positions = np.asarray(positions, dtype=float).reshape(-1, model.d)
+    # context points within damping_radius of the pair midpoint
+    d2 = np.sum((positions - 0.5 * (a.position + b.position)) ** 2, axis=1)
+    n_close = int(np.count_nonzero(d2 <= model.damping_radius**2))
     return base_p * model.damping_factor**n_close
 
 

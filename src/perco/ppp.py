@@ -148,11 +148,6 @@ def box_window(lower, upper) -> Window:
     return Window(kind="box", lower=lower, upper=upper)
 
 
-def window_volume(window: Window) -> float:
-    """Lebesgue volume of a window (closed form for balls and boxes)."""
-    return window.volume()
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """An immutable sample of a marked PPP restricted to a window.

@@ -143,14 +143,35 @@ def radial_integral(
     )
 
 
+def _cap_volume(d: int, radius: float, a: float) -> float:
+    """Volume of the part of B(0, radius) beyond a hyperplane at signed distance a."""
+    full = unit_ball_volume(d) * radius**d
+    q = min((a / radius) ** 2, 1.0)
+    if q < 0.5:
+        # plane near the center: the symmetric form keeps a small q exact
+        return 0.5 * full * (1.0 - math.copysign(float(special.betainc(0.5, (d + 1) / 2.0, q)), a))
+    cap = 0.5 * full * float(special.betainc((d + 1) / 2.0, 0.5, 1.0 - q))
+    return cap if a >= 0.0 else full - cap
+
+
+def lens_volume(d: int, r1: float, r2: float, rho: float) -> float:
+    """Volume of the intersection of balls of radii r1, r2 with centers rho apart.
+
+    Two spherical caps cut off by the radical hyperplane, which lies at
+    signed distance (rho^2 + r1^2 - r2^2) / (2 rho) from the first center
+    (exactly rho / 2 for equal radii).
+    """
+    if rho >= r1 + r2:
+        return 0.0
+    if rho <= abs(r1 - r2):
+        return unit_ball_volume(d) * min(r1, r2) ** d
+    a1 = 0.5 * (rho + (r1 - r2) * (r1 + r2) / rho)
+    return _cap_volume(d, r1, a1) + _cap_volume(d, r2, rho - a1)
+
+
 def ball_overlap_volume(d: int, radius: float, rho: float) -> float:
     """Volume of the intersection of two radius-R balls with centers rho apart."""
-    if rho >= 2.0 * radius:
-        return 0.0
-    if rho <= 0.0:
-        return unit_ball_volume(d) * radius**d
-    x = 1.0 - (rho / (2.0 * radius)) ** 2
-    return unit_ball_volume(d) * radius**d * float(special.betainc((d + 1) / 2.0, 0.5, x))
+    return lens_volume(d, radius, radius, rho)
 
 
 def cap_fraction_outside(d: int, s: float, rho: float, R: float) -> float:
@@ -163,6 +184,9 @@ def cap_fraction_outside(d: int, s: float, rho: float, R: float) -> float:
         return 0.5 * (float(abs(s + rho) > R) + float(abs(s - rho) > R))
     if s == 0.0:
         return 1.0 if rho > R else 0.0
+    if abs(s - rho) >= R:
+        # the whole sphere is outside; also keeps 2*s*rho below from underflowing
+        return 1.0
     t0 = (R * R - s * s - rho * rho) / (2.0 * s * rho)
     if t0 >= 1.0:
         return 0.0

@@ -32,7 +32,7 @@ from perco.events import (
     renorm_long_edge_spec,
 )
 from perco.models import catalog, validate_framework
-from perco.ppp import ball_window, box_window, sample_ppp, window_volume
+from perco.ppp import ball_window, box_window, sample_ppp
 from perco.renorm import renorm_table
 from perco.rng import mix
 
@@ -87,7 +87,7 @@ def test_criterion_01_ppp_counts_chi_square():
     n_reps = 800
     p_values = []
     for case_idx, (d, lam, window) in enumerate(cases):
-        mean = lam * window_volume(window)
+        mean = lam * window.volume()
         bins, probs = poisson_bins(mean, n_reps)
         counts = np.zeros(len(bins))
         for i in range(n_reps):

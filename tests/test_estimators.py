@@ -326,6 +326,38 @@ def test_truncation_bound_against_monte_carlo():
     assert abs(bound - mc) < max(4 * se, 0.02 * bound), (bound, mc, se)
 
 
+def test_truncation_bound_frozen_closed_form_d1():
+    # radius-1 boolean discs connect within distance 2.  A point x of [-1, 1]
+    # reaches |x| of the exterior of [-2, 2], so the bound is
+    # intensity^2 * int_{-1}^{1} |x| dx = intensity^2.
+    model = fixed_boolean(1, 1.0)
+    window = ball_window(2.0, d=1)
+    assert truncation_bound(model, 1.0, window, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert truncation_bound(model, 1.7, window, 1.0) == pytest.approx(1.7**2, rel=1e-12)
+
+
+def test_truncation_bound_catalog_values():
+    # values of the earlier shell-by-shell double quadrature on the r=0.25
+    # crossing window; inf marks the divergent radial tails
+    frozen = {
+        "boolean-fixed": 1.8193645224156338,
+        "boolean-heavy": math.inf,
+        "plain-indicator": 1.8193645224156338,
+        "plain-poly": 6.754125429459218,
+        "product-indicator": 21.566367235489604,
+        "sum-poly": 19.091134475996984,
+        "min-indicator": math.inf,
+    }
+    spec = crossing_spec(0.25)
+    window, ell = spec.window(2), spec.truncation_radius()
+    for name, model in catalog(d=2).items():
+        got = truncation_bound(model, 1.0, window, ell)
+        if math.isinf(frozen[name]):
+            assert got == math.inf, name
+        else:
+            assert got == pytest.approx(frozen[name], rel=1e-6), name
+
+
 def test_truncation_bound_validation():
     model = catalog(d=2)["plain-poly"]
     with pytest.raises(ConfigurationError):

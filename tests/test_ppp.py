@@ -12,15 +12,14 @@ from perco.ppp import (
     point_budget,
     sample_ppp,
     unit_ball_volume,
-    window_volume,
 )
 
 
 def test_window_volumes_closed_form():
-    assert window_volume(box_window([0, 0, 0], [1, 1, 1])) == pytest.approx(1.0)
-    assert window_volume(ball_window(2.0, d=2)) == pytest.approx(4 * math.pi)
-    assert window_volume(ball_window(1.0, d=3)) == pytest.approx(4 * math.pi / 3)
-    assert window_volume(ball_window(1.0, d=1)) == pytest.approx(2.0)
+    assert box_window([0, 0, 0], [1, 1, 1]).volume() == pytest.approx(1.0)
+    assert ball_window(2.0, d=2).volume() == pytest.approx(4 * math.pi)
+    assert ball_window(1.0, d=3).volume() == pytest.approx(4 * math.pi / 3)
+    assert ball_window(1.0, d=1).volume() == pytest.approx(2.0)
     # d-ball volume recursion v_d = v_{d-2} * 2 pi / d
     for d in range(3, 9):
         assert unit_ball_volume(d) == pytest.approx(unit_ball_volume(d - 2) * 2 * math.pi / d)
@@ -77,7 +76,7 @@ def test_positions_uniform_in_ball():
     # radial cdf in a d-ball is (r/R)^d; KS test on pooled samples
     for d in (2, 3):
         w = ball_window(2.0, d=d)
-        cloud = sample_ppp(w, 2000.0 / window_volume(w), seed=40 + d)
+        cloud = sample_ppp(w, 2000.0 / w.volume(), seed=40 + d)
         radii = np.linalg.norm(cloud.positions, axis=1)
         stat = stats.kstest(radii, lambda r: (np.asarray(r) / 2.0) ** d)
         assert stat.pvalue > 0.01
@@ -86,7 +85,7 @@ def test_positions_uniform_in_ball():
 
 def test_positions_uniform_in_box_and_marks_independent():
     w = box_window([0.0, -2.0], [4.0, 2.0])
-    cloud = sample_ppp(w, 500.0 / window_volume(w), seed=99)
+    cloud = sample_ppp(w, 500.0 / w.volume(), seed=99)
     for axis, (lo, hi) in enumerate([(0.0, 4.0), (-2.0, 2.0)]):
         stat = stats.kstest(cloud.positions[:, axis], stats.uniform(lo, hi - lo).cdf)
         assert stat.pvalue > 0.01

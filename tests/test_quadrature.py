@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from perco.errors import ConfigurationError
-from perco.ppp import ball_window, box_window, unit_ball_volume
+from perco.ppp import ball_window, box_window, sphere_surface, unit_ball_volume
 from perco.quadrature import (
     ball_overlap_volume,
     cap_fraction_outside,
+    lens_volume,
     radial_integral,
     set_covariance_radial,
 )
@@ -73,6 +76,54 @@ def test_ball_overlap_closed_forms():
     assert ball_overlap_volume(3, R, rho) == pytest.approx(cap, rel=1e-12)
     assert ball_overlap_volume(2, 1.0, 2.0) == 0.0
     assert ball_overlap_volume(2, 1.0, 0.0) == pytest.approx(math.pi)
+
+
+def test_lens_volume_closed_forms():
+    # d=3: sphere-sphere intersection with unequal radii
+    r1, r2, rho = 1.0, 2.0, 2.5
+    exact = (
+        math.pi * (r1 + r2 - rho) ** 2
+        * (rho**2 + 2 * rho * r2 - 3 * r2**2 + 2 * rho * r1 + 6 * r1 * r2 - 3 * r1**2)
+        / (12 * rho)
+    )
+    assert lens_volume(3, r1, r2, rho) == pytest.approx(exact, rel=1e-12)
+    assert lens_volume(3, r2, r1, rho) == pytest.approx(exact, rel=1e-12)
+    # d=1: overlap of [-r1, r1] and [rho - r2, rho + r2]
+    assert lens_volume(1, 1.0, 2.0, 2.5) == pytest.approx(0.5, rel=1e-12)
+    # nested and disjoint balls
+    assert lens_volume(2, 0.5, 2.0, 1.0) == pytest.approx(math.pi * 0.25, rel=1e-15)
+    assert lens_volume(2, 0.5, 2.0, 2.5) == 0.0
+
+
+# quad's roundoff warnings at the requested 1e-12 are judged by the assertion
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.floats(0.05, 3.0),
+    st.floats(0.05, 3.0),
+    st.floats(0.0, 7.0),
+)
+@example(d=2, ell=1.0, R=0.125, rho=5e-324)  # 2*s*rho once underflowed to 0 in cap_fraction_outside
+def test_lens_complement_matches_cap_fraction_quadrature(d, ell, R, rho):
+    # the part of B(0, ell) a shift by rho moves outside B(0, R), once from
+    # the two-cap closed form and once as a shell integral of the sphere
+    # fraction outside B(0, R)
+    full = unit_ball_volume(d) * ell**d
+    got = full - lens_volume(d, ell, R, rho)
+    kinks = [p for p in (abs(R - rho), R + rho) if 0.0 < p < ell]
+    shells = integrate.quad(
+        lambda s: s ** (d - 1) * cap_fraction_outside(d, s, rho, R),
+        0.0,
+        ell,
+        points=kinks or None,
+        epsabs=0.0,
+        epsrel=1e-12,
+        limit=200,
+    )[0]
+    # near internal tangency the complement is a difference of nearly equal
+    # volumes, so it is held to 1e-12 of the ball there, not to 1e-8 of itself
+    assert got == pytest.approx(sphere_surface(d) * shells, rel=1e-8, abs=1e-12 * full)
 
 
 def test_cap_fraction_outside_monte_carlo():
