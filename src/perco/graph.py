@@ -6,9 +6,26 @@ probability.  Because the variate depends on inherited point ids rather than
 array order, a thinned sub-cloud reproduces exactly the induced subgraph of
 its parent (see the coupling module).
 
-Two enumeration paths produce identical edge sets: an exact blocked O(n^2)
-sweep, and a kd-tree candidate search for models with a finite connection
-range.  Both are deterministic and thread-schedule independent.
+Two candidate enumerations feed the same pair screen, so they produce
+identical edge sets:
+
+* ``"exact"``: a blocked O(n^2) sweep over all pairs.
+* ``"grid"``: a mark-layered kd-tree search, the layered sampling of
+  geometric inhomogeneous random graphs (Bringmann, Keusch & Lengler, TCS
+  760, 2019).  Points go into dyadic mark classes, one kd-tree each; every
+  pair of classes is searched within the connection range at the two
+  classes' smallest marks (``models.pair_range``), which bounds every pair
+  between them because connection probability does not increase with a
+  mark.  A mark-independent range uses a single class.  The search only
+  enumerates candidates; the keyed uniforms decide each edge, so sampling
+  stays exact and thinning still gives induced subgraphs.
+
+``"auto"`` takes ``"grid"`` above 2000 points when every pair of marks has a
+finite range: boolean models (Pareto radii included) and indicator or custom
+profiles under any kernel.  Polynomial profiles keep the exact sweep: every
+pair connects with positive probability and is decided by its own keyed
+uniform, so no exact sampler can skip a pair without evaluating it.  Both
+paths are deterministic and thread-schedule independent.
 
 Component labels are computed from the edge array on first use, by numpy
 hooking and pointer jumping (no sparse matrix is built), so events that read
@@ -27,12 +44,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, ResourceError
-from .models import ModelSpec, max_range, pairwise_prob
+from .models import ModelSpec, max_range, pair_range, pairwise_prob
 from .ppp import PointCloud
 from .rng import pair_uniforms
 
 DEFAULT_PAIR_BUDGET = 200_000_000
 _CHUNK = 2_000_000  # pair-array block size, bounds peak memory
+# candidate ranges are widened by this relative margin so that rounding at a
+# tie never drops a pair; _screen_pairs decides every candidate exactly
+_RANGE_PAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,11 +157,11 @@ class GeomGraph:
 
 
 def _finalize_graph(cloud: PointCloud, seed: int, ii: np.ndarray, jj: np.ndarray) -> GeomGraph:
-    edges = np.stack([ii, jj], axis=1).astype(np.int64) if ii.size else np.empty((0, 2), dtype=np.int64)
-    if edges.shape[0]:
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-    return GeomGraph(cloud=cloud, seed=seed, edges=edges)
+    ii = ii.astype(np.int64, copy=False)
+    jj = jj.astype(np.int64, copy=False)
+    # pairs are distinct with i < j < n, so i * n + j orders them lexicographically
+    order = np.argsort(ii * len(cloud) + jj)
+    return GeomGraph(cloud=cloud, seed=seed, edges=np.stack([ii[order], jj[order]], axis=1))
 
 
 def _screen_pairs(cloud, model, seed, ii, jj, context_tree):
@@ -167,6 +187,94 @@ def _screen_pairs(cloud, model, seed, ii, jj, context_tree):
     return ii[keep], jj[keep]
 
 
+def _bounded(model: ModelSpec) -> bool:
+    """Whether every pair of marks has a finite connection range; it does iff one pair has."""
+    return math.isfinite(pair_range(model, 0.5, 0.5))
+
+
+def _sweep_blocks(cloud: PointCloud, cutoff: float, budget: int):
+    """Candidate pairs (i < j) of the exact sweep, in row blocks of about _CHUNK pairs.
+
+    A finite ``cutoff`` prefilters each block by distance.
+    """
+    n = len(cloud)
+    total = n * (n - 1) // 2
+    if total > budget:
+        raise ResourceError(
+            f"exact pair sweep needs {total} pair evaluations, budget is {budget}; "
+            "shrink the window, lower the intensity, or raise pair_budget"
+        )
+    pos = cloud.positions
+    reach2 = (cutoff * (1.0 + _RANGE_PAD)) ** 2
+    i0 = 0
+    while i0 < n - 1:
+        rows = max(1, min(n - 1 - i0, _CHUNK // max(1, n - 1 - i0)))
+        i1 = i0 + rows
+        ii = np.repeat(np.arange(i0, i1), n - 1 - np.arange(i0, i1))
+        jj = np.concatenate([np.arange(i + 1, n) for i in range(i0, i1)])
+        if math.isfinite(cutoff):
+            diff = pos[ii] - pos[jj]
+            near = np.sum(diff * diff, axis=1) <= reach2
+            ii, jj = ii[near], jj[near]
+        yield ii, jj
+        i0 = i1
+
+
+def _layered_blocks(cloud: PointCloud, model: ModelSpec, cutoff: float, budget: int):
+    """Candidate pairs (i < j) from one kd-tree per dyadic mark class.
+
+    Class k holds the marks in [2^-(k+1), 2^-k).  The connection range does
+    not grow with the marks, so the range at the two classes' smallest marks
+    covers every pair between them.  A mark-independent (finite) ``cutoff``
+    puts every point in one class.
+    """
+    n = len(cloud)
+    if n < 2:
+        return
+    pos = cloud.positions
+    if math.isfinite(cutoff):
+        klass = np.zeros(n, dtype=np.int64)
+        ranges = np.array([[cutoff]])
+    else:
+        klass = -np.frexp(cloud.marks)[1].astype(np.int64)
+        lowest = np.ldexp(1.0, -(np.unique(klass) + 1))
+        ranges = pair_range(model, lowest[:, None], lowest[None, :])
+    ranges = ranges * (1.0 + _RANGE_PAD)
+    order = np.argsort(klass, kind="stable")
+    starts = np.flatnonzero(np.diff(klass[order])) + 1
+    members = np.split(order, starts)
+    trees = [cKDTree(pos[m]) for m in members]
+    links = [(a, b) for a in range(len(members)) for b in range(a, len(members))]
+    if n * (n - 1) // 2 > budget:  # otherwise no count can exceed the budget
+        n_candidates = 0
+        for a, b in links:
+            found = int(trees[a].count_neighbors(trees[b], ranges[a, b]))
+            n_candidates += found if a != b else (found - members[a].size) // 2
+        if n_candidates > budget:
+            raise ResourceError(
+                f"range search finds {n_candidates} candidate pairs, budget is {budget}; "
+                "shrink the window, lower the intensity, or raise pair_budget"
+            )
+    # class pairs are gathered into blocks of about _CHUNK pairs, so the
+    # screen runs a few times per build rather than once per class pair
+    pending_i, pending_j, size = [], [], 0
+    for a, b in links:
+        if a == b:
+            local = trees[a].query_pairs(ranges[a, a], output_type="ndarray")
+            ii, jj = members[a][local[:, 0]], members[a][local[:, 1]]
+        else:
+            hits = trees[a].sparse_distance_matrix(trees[b], ranges[a, b], output_type="ndarray")
+            ii, jj = members[a][hits["i"]], members[b][hits["j"]]
+        pending_i.append(np.minimum(ii, jj))
+        pending_j.append(np.maximum(ii, jj))
+        size += ii.size
+        if size >= _CHUNK or (a, b) == links[-1]:
+            ii, jj = np.concatenate(pending_i), np.concatenate(pending_j)
+            for k0 in range(0, ii.size, _CHUNK):
+                yield ii[k0 : k0 + _CHUNK], jj[k0 : k0 + _CHUNK]
+            pending_i, pending_j, size = [], [], 0
+
+
 def build_graph(
     cloud: PointCloud,
     model: ModelSpec,
@@ -176,9 +284,12 @@ def build_graph(
 ) -> GeomGraph:
     """Build the connection graph; deterministic given (cloud, model, seed).
 
-    method "exact" sweeps all pairs; "grid" enumerates kd-tree candidates
-    within the model's finite range; "auto" picks per model.  Both paths give
-    identical edge sets whenever "grid" applies.
+    method "exact" sweeps all pairs.  "grid" enumerates kd-tree candidates
+    within each pair of mark classes' connection range; it needs a finite
+    range for every pair of marks (boolean models, indicator and custom
+    profiles).  "auto" takes "grid" for such models above 2000 points and
+    "exact" otherwise.  Both paths give identical edge sets whenever "grid"
+    applies.
     """
     if model.d != cloud.dimension:
         raise ConfigurationError("model dimension does not match cloud dimension")
@@ -186,60 +297,29 @@ def build_graph(
         raise ConfigurationError(f"unknown build method {method!r}")
     budget = DEFAULT_PAIR_BUDGET if pair_budget is None else int(pair_budget)
     n = len(cloud)
-    cutoff = max_range(model)
     if method == "auto":
-        method = "grid" if (math.isfinite(cutoff) and n > 2000) else "exact"
-    if method == "grid" and not math.isfinite(cutoff):
-        raise ConfigurationError("grid enumeration requires a model with finite connection range")
+        method = "grid" if (n > 2000 and _bounded(model)) else "exact"
+    elif method == "grid" and not _bounded(model):
+        raise ConfigurationError(
+            "grid enumeration requires a finite connection range for every pair of marks"
+        )
 
+    cutoff = max_range(model)
+    if method == "exact":
+        blocks = _sweep_blocks(cloud, cutoff, budget)
+    else:
+        blocks = _layered_blocks(cloud, model, cutoff, budget)
     context_tree = None
     if model.variant == "generalized" and n:
         context_tree = cKDTree(cloud.positions)
 
     kept_i: list[np.ndarray] = []
     kept_j: list[np.ndarray] = []
-
-    if method == "exact":
-        total = n * (n - 1) // 2
-        if total > budget:
-            raise ResourceError(
-                f"exact pair sweep needs {total} pair evaluations, budget is {budget}; "
-                "shrink the window, lower the intensity, or raise pair_budget"
-            )
-        i0 = 0
-        while i0 < n - 1:
-            rows = max(1, min(n - 1 - i0, _CHUNK // max(1, n - 1 - i0)))
-            i1 = i0 + rows
-            counts = n - 1 - np.arange(i0, i1)
-            ii = np.repeat(np.arange(i0, i1), counts)
-            jj = np.concatenate([np.arange(i + 1, n) for i in range(i0, i1)])
-            if math.isfinite(cutoff):
-                pos = cloud.positions
-                diff = pos[ii] - pos[jj]
-                near = np.sum(diff * diff, axis=1) <= cutoff * cutoff
-                ii, jj = ii[near], jj[near]
-            if ii.size:
-                ki, kj = _screen_pairs(cloud, model, seed, ii, jj, context_tree)
-                kept_i.append(ki)
-                kept_j.append(kj)
-            i0 = i1
-    else:
-        tree = context_tree if context_tree is not None else (cKDTree(cloud.positions) if n else None)
-        if n:
-            ordered = int(tree.count_neighbors(tree, cutoff))
-            n_candidates = (ordered - n) // 2
-            if n_candidates > budget:
-                raise ResourceError(
-                    f"range search finds {n_candidates} candidate pairs, budget is {budget}; "
-                    "shrink the window, lower the intensity, or raise pair_budget"
-                )
-            pairs = tree.query_pairs(cutoff, output_type="ndarray")
-            for k0 in range(0, pairs.shape[0], _CHUNK):
-                block = pairs[k0 : k0 + _CHUNK]
-                ki, kj = _screen_pairs(cloud, model, seed, block[:, 0], block[:, 1], context_tree)
-                kept_i.append(ki)
-                kept_j.append(kj)
-
+    for ii, jj in blocks:
+        if ii.size:
+            ki, kj = _screen_pairs(cloud, model, seed, ii, jj, context_tree)
+            kept_i.append(ki)
+            kept_j.append(kj)
     ii = np.concatenate(kept_i) if kept_i else np.empty(0, dtype=np.int64)
     jj = np.concatenate(kept_j) if kept_j else np.empty(0, dtype=np.int64)
     return _finalize_graph(cloud, seed, ii, jj)

@@ -94,13 +94,19 @@ class Profile:
 
     @property
     def support(self) -> float:
-        """Largest argument with a nonzero value (inf for polynomial decay)."""
+        """Argument beyond which the value is zero (inf for polynomial decay).
+
+        A custom profile interpolates down to its first zero height, so its
+        support ends at that knot, not at the last knot with a nonzero height.
+        """
         if self.kind == "indicator":
             return self.theta
         if self.kind == "polynomial":
             return math.inf
-        nonzero = np.nonzero(self.heights > 0)[0]
-        return float(self.knots[nonzero[-1]]) if nonzero.size else 0.0
+        nonzero = np.count_nonzero(self.heights > 0)  # heights are nonincreasing
+        if nonzero == 0:
+            return 0.0
+        return float(self.knots[min(nonzero, self.knots.size - 1)])
 
     @property
     def corner_args(self) -> tuple[float, ...]:
@@ -358,6 +364,33 @@ def connection_prob_ctx(model: ModelSpec, a: MarkedPoint, b: MarkedPoint, contex
     d2 = np.sum((positions - 0.5 * (a.position + b.position)) ** 2, axis=1)
     n_close = int(np.count_nonzero(d2 <= model.damping_radius**2))
     return base_p * model.damping_factor**n_close
+
+
+def pair_range(model: ModelSpec, marks_a, marks_b):
+    """Vectorized largest distance at which ``pairwise_prob`` can be positive.
+
+    Boolean: R(u_a) + R(u_b).  Classical: (support * beta / g(w_a, w_b))^(1/d),
+    infinite for polynomial profiles.  Generalized: the base model's range.
+    The range does not grow with either mark, so the range at the smallest
+    marks of two sets bounds every pair drawn from them.
+    """
+    if model.variant == "generalized":
+        return pair_range(model.base, marks_a, marks_b)
+    marks_a = np.asarray(marks_a, dtype=float)
+    marks_b = np.asarray(marks_b, dtype=float)
+    if model.variant == "boolean":
+        law = model.radius_law
+        out = np.asarray(law.radii(marks_a) + law.radii(marks_b))
+    else:
+        if model.kernel.uses_weights:
+            g = model.kernel(weight_from_mark(marks_a, model.tau), weight_from_mark(marks_b, model.tau))
+        else:
+            g = np.ones(np.broadcast(marks_a, marks_b).shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (model.profile.support * model.beta / np.asarray(g)) ** (1.0 / model.d)
+        # g underflows to 0 only for weights beyond float range: 0/0 is an all-zero profile
+        out = np.nan_to_num(out, nan=0.0, posinf=math.inf)
+    return float(out) if out.ndim == 0 else out
 
 
 def max_range(model: ModelSpec) -> float:

@@ -70,14 +70,15 @@ def radial_integral(
     lower: float = 0.0,
     support: float = math.inf,
     breakpoints=(),
-    rho_max: float | None = None,
 ) -> RadialIntegral:
     """Integral of rho^{d-1} fn(rho) drho over [lower, support or infinity).
 
-    fn must be nonnegative and nonincreasing.  For infinite support the tail
-    beyond rho_max is extrapolated from a log-log fit on the last decade:
-    fitted exponent >= -1 gives a divergent verdict, a poor fit gives
-    inconclusive (the finite part is still reported).
+    fn must be nonnegative and nonincreasing.  For infinite support the
+    integral runs by quadrature up to rho_max = 1e3 * max(1, lower, finite
+    breakpoints), and the tail beyond is extrapolated from a log-log fit on
+    the decade below rho_max: fitted exponent >= -1 gives a divergent
+    verdict, a poor fit gives inconclusive (the finite part is still
+    reported).
     """
     if lower < 0:
         raise ConfigurationError(f"lower limit must be >= 0, got {lower}")
@@ -91,11 +92,7 @@ def radial_integral(
         value = _quad_piecewise(h, _segments(lower, support, breakpoints))
         return RadialIntegral(value=value, verdict=FINITE)
 
-    if rho_max is None:
-        scale_ref = max([1.0, lower, *[b for b in breakpoints if math.isfinite(b)]])
-        rho_max = 1e3 * scale_ref
-    if rho_max <= lower:
-        rho_max = 10.0 * max(lower, 1.0)
+    rho_max = 1e3 * max([1.0, lower, *[b for b in breakpoints if math.isfinite(b)]])
     body = _quad_piecewise(h, _segments(lower, rho_max, breakpoints))
 
     grid = np.geomspace(rho_max / 10.0, rho_max, _FIT_POINTS)

@@ -25,6 +25,7 @@ from perco.models import (
     boolean_model,
     catalog,
     classical_model,
+    custom_profile,
     demo_generalized,
     generalized_model,
     indicator_profile,
@@ -64,10 +65,27 @@ def test_two_point_deterministic_edge():
     assert g.edges.tolist() == [[0, 1]]  # 0.9 < 1, others far
 
 
+def _layered_models(d: int = 2) -> dict:
+    """Models whose connection range is finite for every pair of marks but depends on the marks."""
+    cat = catalog(d)
+    return {
+        "boolean-heavy": cat["boolean-heavy"],
+        "product-indicator": cat["product-indicator"],
+        "min-indicator": cat["min-indicator"],
+        "sum-indicator": classical_model(d, Kernel("sum"), indicator_profile(0.8), tau=2.5),
+        "product-custom": classical_model(
+            d, Kernel("product"), custom_profile([0.4, 1.0, 1.5], [1.0, 0.6, 0.0]), tau=2.5
+        ),
+        "generalized-product": generalized_model(
+            cat["product-indicator"], damping_radius=0.6, damping_factor=0.5
+        ),
+    }
+
+
 def test_determinism_and_method_equivalence():
+    cloud = sample_ppp(box_window([0, 0], [12, 12]), 1.5, seed=100)
     for name in ("boolean-fixed", "plain-indicator"):
         model = catalog(2)[name]
-        cloud = sample_ppp(box_window([0, 0], [12, 12]), 1.5, seed=100)
         g1 = build_graph(cloud, model, seed=7, method="exact")
         g2 = build_graph(cloud, model, seed=7, method="grid")
         g3 = build_graph(cloud, model, seed=7, method="exact")
@@ -79,6 +97,14 @@ def test_determinism_and_method_equivalence():
         assert reference.same_partition(
             g1.component_labels.tolist(), reference.bfs_components(len(cloud), g1.edges.tolist())
         )
+    # the mark-layered search finds the exact sweep's edges, long ones included
+    for name, model in _layered_models(2).items():
+        g1 = build_graph(cloud, model, seed=7, method="exact")
+        g2 = build_graph(cloud, model, seed=7, method="grid")
+        g3 = build_graph(cloud, model, seed=7, method="grid")
+        assert g1.n_edges > 0, name
+        assert np.array_equal(g1.edges, g2.edges), name
+        assert np.array_equal(g2.edges, g3.edges), name
     # fractional probabilities do respond to the edge-randomness seed
     frac = catalog(2)["plain-poly"]
     cloud = sample_ppp(box_window([0, 0], [10, 10]), 1.0, seed=55)
@@ -103,11 +129,80 @@ def test_matches_naive_reference_all_variants():
             fast = build_graph(cloud, model, seed=777 + rep, method="exact")
             slow = reference.naive_edges(cloud, model, 777 + rep)
             assert list(map(tuple, fast.edges.tolist())) == slow, (model.summary, rep)
-    # grid path must agree with naive too where the range is finite
-    for model in (catalog(2)["boolean-fixed"], demo_generalized(2)):
-        cloud = sample_ppp(box_window([0, 0], [7, 7]), 1.5, seed=444)
+    # grid path must agree with naive too wherever every pair's range is finite
+    cloud = sample_ppp(box_window([0, 0], [7, 7]), 1.5, seed=444)
+    for model in (catalog(2)["boolean-fixed"], demo_generalized(2), *_layered_models(2).values()):
         fast = build_graph(cloud, model, seed=3, method="grid")
-        assert list(map(tuple, fast.edges.tolist())) == reference.naive_edges(cloud, model, 3)
+        assert list(map(tuple, fast.edges.tolist())) == reference.naive_edges(cloud, model, 3), model.summary
+
+
+def test_finite_range_tie_keeps_certain_pair():
+    # |x-y|^3 rounds to exactly theta while |x-y| exceeds the rounded cube
+    # root of theta: the pair rule gives p = 1, so no candidate search may
+    # drop the pair
+    model = classical_model(3, Kernel("plain"), indicator_profile(0.3157190635451505))
+    positions = np.array([[0.0, 0.0, 0.0], [0.3705553386486443, 0.5150307459966047, 0.2471700617101387]])
+    cloud = PointCloud(
+        window=ball_window(5.0, d=3), intensity=1.0, positions=positions, marks=np.array([0.5, 0.5]), seed=0
+    )
+    assert reference.naive_edges(cloud, model, 1) == [(0, 1)]
+    for method in ("exact", "grid"):
+        assert build_graph(cloud, model, seed=1, method=method).edges.tolist() == [[0, 1]], method
+
+
+def test_custom_profile_tail_edges_kept():
+    # heights fall linearly to zero between the last two knots; pairs in that
+    # stretch connect with positive probability
+    model = classical_model(2, Kernel("plain"), custom_profile([1.0, 4.0], [1.0, 0.0]))
+    cloud = sample_ppp(box_window([0, 0], [6, 6]), 1.0, seed=21)
+    slow = reference.naive_edges(cloud, model, 5)
+    lengths = [np.linalg.norm(cloud.positions[i] - cloud.positions[j]) for i, j in slow]
+    assert max(lengths) > 1.0
+    for method in ("exact", "grid"):
+        assert list(map(tuple, build_graph(cloud, model, seed=5, method=method).edges.tolist())) == slow
+
+
+# extremes, dyadic class boundaries, and the floats just below and above two of them
+_EXTREME_MARKS = [1e-12, 1.0 - 1e-12, 0.5, 0.25, 0.125, 2.0**-20, 2.0**-40, 0.5 - 2.0**-54, 0.25 + 2.0**-54]
+
+
+def _layered_case_models(d: int) -> list:
+    return [
+        catalog(d)["boolean-fixed"],
+        boolean_model(d, RadiusLaw(kind="pareto", shape=max(d - 0.5, 0.4), scale=0.1)),
+        *_layered_models(d).values(),
+    ]
+
+
+@st.composite
+def _layered_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    model = draw(st.sampled_from(_layered_case_models(d)))
+    n = draw(st.integers(0, 14))
+    side = draw(st.sampled_from([0.5, 2.0, 6.0]))
+    coord = st.floats(0.0, side, allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+    positions = np.array(rows, dtype=float)
+    mark = st.one_of(st.sampled_from(_EXTREME_MARKS), st.floats(1e-12, 1.0 - 1e-12))
+    marks = np.array(draw(st.lists(mark, min_size=n, max_size=n)), dtype=float)
+    cloud = PointCloud(
+        window=box_window([0.0] * d, [side] * d),
+        intensity=1.0,
+        positions=positions.reshape(n, d),
+        marks=marks,
+        seed=0,
+    )
+    return model, cloud, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_layered_cases())
+def test_layered_grid_equals_exact_equals_naive(case):
+    model, cloud, seed = case
+    grid = build_graph(cloud, model, seed=seed, method="grid").edges
+    exact = build_graph(cloud, model, seed=seed, method="exact").edges
+    assert np.array_equal(grid, exact)
+    assert list(map(tuple, exact.tolist())) == reference.naive_edges(cloud, model, seed)
 
 
 def test_generalized_damping_tie_excludes_endpoints_by_index():
@@ -261,13 +356,22 @@ def test_pair_budget_resource_error():
         build_graph(cloud, catalog(2)["plain-poly"], seed=1, method="exact", pair_budget=100)
     with pytest.raises(ResourceError):
         build_graph(cloud, catalog(2)["plain-indicator"], seed=1, method="grid", pair_budget=3)
+    layered = catalog(2)["product-indicator"]
+    with pytest.raises(ResourceError, match="range search finds") as info:
+        build_graph(cloud, layered, seed=1, method="grid", pair_budget=3)
+    # the count is exact: a budget of exactly that many candidates suffices
+    found = int(str(info.value).split("finds ")[1].split()[0])
+    with pytest.raises(ResourceError):
+        build_graph(cloud, layered, seed=1, method="grid", pair_budget=found - 1)
+    g = build_graph(cloud, layered, seed=1, method="grid", pair_budget=found)
+    assert np.array_equal(g.edges, build_graph(cloud, layered, seed=1, method="exact").edges)
 
 
 def test_dimension_mismatch_and_bad_method():
     cloud = sample_ppp(box_window([0], [5]), 1.0, seed=1)
     with pytest.raises(ConfigurationError):
         build_graph(cloud, catalog(2)["plain-indicator"], seed=1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="finite connection range for every pair of marks"):
         build_graph(cloud, catalog(1)["plain-poly"], seed=1, method="grid")
     with pytest.raises(ConfigurationError):
         build_graph(cloud, catalog(1)["plain-indicator"], seed=1, method="bogus")
@@ -376,11 +480,13 @@ def test_dump_graph_roundtrip():
     assert len(edge_lines) == g.n_edges
 
 
-def test_heavy_tail_pareto_grid_rejected_exact_ok():
-    # infinite-range model goes through the exact path under "auto"
+def test_heavy_tail_pareto_grid_equals_exact():
+    # unbounded radii still give every pair a finite range, so the
+    # mark-layered search applies and finds the exact sweep's edges
     model = boolean_model(2, RadiusLaw(kind="pareto", shape=1.5, scale=0.2))
     cloud = sample_ppp(box_window([0, 0], [8, 8]), 0.8, seed=10)
     g = build_graph(cloud, model, seed=10)
+    assert np.array_equal(g.edges, build_graph(cloud, model, seed=10, method="grid").edges)
     lengths = g.edge_lengths()
     if lengths.size:
         assert lengths.max() <= math.hypot(8, 8)

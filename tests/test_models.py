@@ -20,6 +20,7 @@ from perco.models import (
     indicator_profile,
     mark_averaged_connection,
     max_range,
+    pair_range,
     pairwise_prob,
     phibar_breakpoints,
     polynomial_profile,
@@ -289,6 +290,52 @@ def test_max_range():
     m = classical_model(3, Kernel("plain"), indicator_profile(2.0), beta=4.0)
     assert max_range(m) == pytest.approx(8.0 ** (1 / 3))
     assert max_range(demo_generalized(2)) == pytest.approx(1.0)
+
+
+def test_custom_profile_support_ends_at_first_zero_knot():
+    # the profile interpolates from 0.5 at t=2 down to 0 at t=3
+    cust = custom_profile([1.0, 2.0, 3.0], [1.0, 0.5, 0.0])
+    assert cust(2.5) == pytest.approx(0.25)
+    assert cust.support == 3.0
+    assert custom_profile([1.0], [0.0]).support == 0.0
+    m = classical_model(2, Kernel("plain"), cust, beta=3.0)
+    assert max_range(m) == pytest.approx(3.0)
+    assert pairwise_prob(m, 0.5, 0.5, 2.9) > 0.0
+
+
+def test_pair_range_formulas():
+    marks_a = np.array([0.1, 0.5, 0.9])
+    marks_b = np.array([0.3, 0.2, 0.7])
+    law = RadiusLaw(kind="pareto", shape=1.5, scale=0.25)
+    b = boolean_model(2, law)
+    assert np.array_equal(pair_range(b, marks_a, marks_b), law.radii(marks_a) + law.radii(marks_b))
+    m = classical_model(3, Kernel("product"), indicator_profile(2.0), tau=2.5, beta=4.0)
+    w_a, w_b = weight_from_mark(marks_a, 2.5), weight_from_mark(marks_b, 2.5)
+    assert pair_range(m, marks_a, marks_b) == pytest.approx((2.0 * 4.0 * w_a * w_b) ** (1 / 3))
+    assert pair_range(m, 0.5, 0.5) == pytest.approx((8.0 * weight_from_mark(0.5, 2.5) ** 2) ** (1 / 3))
+    assert np.array_equal(pair_range(generalized_model(m), marks_a, marks_b), pair_range(m, marks_a, marks_b))
+    plain = classical_model(2, Kernel("plain"), indicator_profile(1.0))
+    assert pair_range(plain, 0.3, 0.8) == max_range(plain)
+    assert math.isinf(pair_range(catalog(2)["plain-poly"], 0.5, 0.5))
+    assert math.isinf(pair_range(catalog(2)["sum-poly"], 0.5, 0.5))
+    assert pair_range(classical_model(2, Kernel("min"), custom_profile([1.0], [0.0])), 0.5, 0.5) == 0.0
+
+
+def test_pair_range_bounds_connection_and_shrinks_with_marks():
+    gen = substream(11, "pair-range")
+    models_ = [
+        catalog(2)["boolean-heavy"],
+        catalog(2)["product-indicator"],
+        catalog(2)["min-indicator"],
+        classical_model(2, Kernel("sum"), indicator_profile(0.7), tau=3.0),
+        classical_model(2, Kernel("product"), custom_profile([0.5, 1.0, 2.0], [1.0, 0.4, 0.0]), tau=2.2),
+    ]
+    s = gen.uniform(size=2000).clip(1e-9, 1 - 1e-9)
+    t = gen.uniform(size=2000).clip(1e-9, 1 - 1e-9)
+    for m in models_:
+        r = pair_range(m, s, t)
+        assert np.all(np.asarray(pairwise_prob(m, s, t, r * (1 + 1e-9))) == 0.0), m.summary
+        assert np.all(pair_range(m, s * 0.5, t) >= r), m.summary
 
 
 def test_model_validation_errors():
