@@ -22,7 +22,7 @@ from .models import ModelSpec
 from .ppp import PointCloud, Window, sample_ppp
 from .rng import mix, point_uniforms
 
-from .estimators import Estimate, make_estimate, replicate_seed, run_replicates
+from .estimators import Estimate, fold, run_replicates
 
 
 @dataclass(frozen=True)
@@ -146,18 +146,16 @@ def check_thinning_bounds(
     event = long_edge_spec(r, 1.0)
     window = event.window(model.d)
 
-    def one(i: int):
-        rep_seed = replicate_seed(seed, i)
+    def one(rep_seed: int):
         pair = thin_pair(window, lam_low, lam_high, rep_seed)
         low_graph, high_graph = coupled_graphs(pair, model, rep_seed)
         # a low-only hit would contradict the induced-subgraph construction;
         # it is counted, not raised, so full runs report every violation
         return event.evaluate(low_graph), event.evaluate(high_graph)
 
-    rows = run_replicates(one, n, threads)
-    low_est = make_estimate(sum(row[0] for row in rows), n)
-    high_est = make_estimate(sum(row[1] for row in rows), n)
-    exact_violations = sum(1 for lo, hi in rows if lo and not hi)
+    rows = run_replicates(one, n, seed, threads)
+    low_est, high_est = fold(rows)
+    exact_violations = int(np.sum(rows[:, 0] & ~rows[:, 1]))
     ratio_sq = (lam_low / lam_high) ** 2
     lower_violated = ratio_sq * high_est.ci_low > low_est.ci_high
     upper_violated = low_est.ci_low > high_est.ci_high

@@ -2,9 +2,11 @@
 
 Replicates are independent: each gets a fresh point cloud and fresh edge
 randomness derived from (master seed, replicate index), so results do not
-depend on the execution schedule.  Aggregation is a deterministic fold in
-replicate-index order, which makes multi-threaded runs byte-identical to
-single-threaded ones.
+depend on the execution schedule.  ``run_replicates`` is the one replicate
+loop: it derives every replicate seed and returns the per-replicate event
+indicators as an (n, k) bool array in replicate-index order; ``fold`` turns
+its columns into Wilson estimates.  Every Monte Carlo check goes through the
+pair, which makes multi-threaded runs byte-identical to single-threaded ones.
 
 The Campbell-formula routines compute expected edge counts as deterministic
 integrals against intensity^2; they power calibration tests, the Markov
@@ -27,6 +29,7 @@ from .events import (
     WINDOW_MARGIN,
     local_crossing_spec,
     long_edge_spec,
+    long_edge_within,
 )
 from .graph import GeomGraph, build_graph
 from .models import ModelSpec, mark_averaged_connection, max_range, phibar_breakpoints
@@ -56,6 +59,10 @@ def wilson_interval(hits: int, trials: int, confidence: float = DEFAULT_CONFIDEN
     """Wilson score interval; well behaved at p_hat near 0 and 1."""
     if trials <= 0:
         raise ConfigurationError("need at least one trial")
+    if not 0 <= hits <= trials:
+        raise ConfigurationError(f"hits must lie in [0, {trials}], got {hits}")
+    if not 0 < confidence < 1:
+        raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
     z = stats.norm.ppf(0.5 + confidence / 2.0)
     p = hits / trials
     denom = 1.0 + z * z / trials
@@ -75,14 +82,27 @@ def replicate_seed(seed: int, index: int) -> int:
     return int(mix(seed, "rep", index))
 
 
-def run_replicates(fn, n: int, threads: int = 1):
-    """Evaluate fn(replicate_index) for indices 0..n-1, in index order."""
+def run_replicates(fn, n: int, seed: int, threads: int = 1) -> np.ndarray:
+    """Evaluate fn(replicate_seed(seed, i)) for i = 0..n-1, in index order.
+
+    fn returns one bool or a tuple of k bools; the result is the (n, k) bool
+    array of those indicators, one row per replicate.
+    """
     if n < 1:
         raise ConfigurationError("need at least one replicate")
+    seeds = [replicate_seed(seed, i) for i in range(n)]
     if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
+        rows = [fn(s) for s in seeds]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(fn, seeds))
+    return np.array(rows, dtype=bool).reshape(n, -1)
+
+
+def fold(indicators: np.ndarray, confidence: float = DEFAULT_CONFIDENCE) -> list[Estimate]:
+    """One Wilson estimate per column of an (n, k) indicator array."""
+    trials = len(indicators)
+    return [make_estimate(int(hits), trials, confidence) for hits in np.count_nonzero(indicators, axis=0)]
 
 
 def sample_event_graph(model: ModelSpec, intensity: float, window: Window, rep_seed: int) -> GeomGraph:
@@ -104,12 +124,10 @@ def estimate_event(
     if window is None:
         window = event.window(model.d)
 
-    def one(i: int) -> bool:
-        rep_seed = replicate_seed(seed, i)
+    def one(rep_seed: int) -> bool:
         return event.evaluate(sample_event_graph(model, intensity, window, rep_seed))
 
-    outcomes = run_replicates(one, n, threads)
-    return make_estimate(int(np.sum(outcomes)), n, confidence)
+    return fold(run_replicates(one, n, seed, threads), confidence)[0]
 
 
 @dataclass(frozen=True)
@@ -406,23 +424,6 @@ class CoveringCheck:
         ]
 
 
-def _translated_long_edge(graph: GeomGraph, center: np.ndarray, r: float, length: float, closed: bool) -> bool:
-    """Edge with an endpoint within r of center (closed ball if asked) and length > length."""
-    if graph.n_edges == 0:
-        return False
-    lengths = graph.edge_lengths()
-    mask = lengths > length
-    if not mask.any():
-        return False
-    pos = graph.cloud.positions
-    e = graph.edges[mask]
-    d0 = np.sum((pos[e[:, 0]] - center) ** 2, axis=1)
-    d1 = np.sum((pos[e[:, 1]] - center) ** 2, axis=1)
-    if closed:
-        return bool(np.any((d0 <= r * r) | (d1 <= r * r)))
-    return bool(np.any((d0 < r * r) | (d1 < r * r)))
-
-
 def check_covering_inequality(
     model: ModelSpec,
     intensity: float,
@@ -452,23 +453,18 @@ def check_covering_inequality(
     window = ball_window((q + 1.0 + c_prime + WINDOW_MARGIN) * r, d=d)
     origin = np.zeros(d)
 
-    def one(i: int):
-        rep_seed = replicate_seed(seed, i)
+    def one(rep_seed: int):
         graph = sample_event_graph(model, intensity, window, rep_seed)
-        lhs = _translated_long_edge(graph, origin, r, length, closed=False)
-        rhs = _translated_long_edge(graph, origin, q * r, length, closed=False)
-        violated = False
-        if rhs:
-            covered = any(
-                _translated_long_edge(graph, center, r, length, closed=True) for center in scaled_centers
-            )
-            violated = not covered
-        return lhs, rhs, violated
+        lhs = long_edge_within(graph, origin, r, length)
+        rhs = long_edge_within(graph, origin, q * r, length)
+        covered = rhs and any(
+            long_edge_within(graph, center, r, length, closed=True) for center in scaled_centers
+        )
+        return lhs, rhs, covered
 
-    rows = run_replicates(one, n, threads)
-    lhs_est = make_estimate(sum(row[0] for row in rows), n)
-    rhs_est = make_estimate(sum(row[1] for row in rows), n)
-    violations = sum(row[2] for row in rows)
+    rows = run_replicates(one, n, seed, threads)
+    lhs_est, rhs_est = fold(rows[:, :2])
+    violations = int(np.sum(rows[:, 1] & ~rows[:, 2]))
     stat_violated = cover.count * lhs_est.ci_high < rhs_est.ci_low
     return CoveringCheck(
         covering=cover,
@@ -527,13 +523,13 @@ def estimate_mixing_cov(
     near_event = local_crossing_spec(r)
     far_event = local_crossing_spec(r, center=x)
 
-    def one(i: int):
-        rep_seed = replicate_seed(seed, i)
+    def one(rep_seed: int):
         graph = sample_event_graph(model, intensity, window, rep_seed)
         return near_event.evaluate(graph), far_event.evaluate(graph)
 
-    rows = np.array(run_replicates(one, n, threads), dtype=float)
-    a, b = rows[:, 0], rows[:, 1]
+    rows = run_replicates(one, n, seed, threads)
+    near, far = fold(rows)
+    a, b = rows.astype(float).T
     a_bar, b_bar = a.mean(), b.mean()
     cov = float(np.sum((a - a_bar) * (b - b_bar)) / (n - 1))
     influence = (a - a_bar) * (b - b_bar) - cov
@@ -544,8 +540,8 @@ def estimate_mixing_cov(
         ci_low=cov - z * se,
         ci_high=cov + z * se,
         trials=n,
-        near=make_estimate(int(a.sum()), n),
-        far=make_estimate(int(b.sum()), n),
+        near=near,
+        far=far,
         r=r,
         separation=sep,
     )

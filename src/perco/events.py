@@ -135,17 +135,26 @@ def _require_exterior(graph: GeomGraph, radius: float, what: str) -> None:
 def long_edge_event(graph: GeomGraph, r: float, c: float) -> bool:
     """Some edge has an endpoint with |x| < r and length > c*r."""
     _require_ball(graph, None, (1.0 + c) * r, "long-edge event")
+    return long_edge_within(graph, np.zeros(graph.cloud.dimension), r, c * r)
+
+
+def long_edge_within(graph: GeomGraph, center: np.ndarray, r: float, length: float, closed: bool = False) -> bool:
+    """Some edge longer than ``length`` has an endpoint within r of center.
+
+    The ball is open unless ``closed``; the caller checks window coverage.
+    """
     if graph.n_edges == 0:
         return False
-    lengths = graph.edge_lengths()
-    long_mask = lengths > c * r
+    long_mask = graph.edge_lengths() > length
     if not long_mask.any():
         return False
     pos = graph.cloud.positions
     e = graph.edges[long_mask]
-    n0 = np.sum(pos[e[:, 0]] ** 2, axis=1) < r * r
-    n1 = np.sum(pos[e[:, 1]] ** 2, axis=1) < r * r
-    return bool(np.any(n0 | n1))
+    d0 = np.sum((pos[e[:, 0]] - center) ** 2, axis=1)
+    d1 = np.sum((pos[e[:, 1]] - center) ** 2, axis=1)
+    if closed:
+        return bool(np.any((d0 <= r * r) | (d1 <= r * r)))
+    return bool(np.any((d0 < r * r) | (d1 < r * r)))
 
 
 def crossing_event(graph: GeomGraph, r: float) -> bool:

@@ -203,14 +203,6 @@ class RadiusLaw:
             out = self.scale * marks ** (-1.0 / self.shape)
         return float(out) if out.ndim == 0 else out
 
-    def survival(self, t: float) -> float:
-        """P(R > t)."""
-        if self.kind == "constant":
-            return 1.0 if t < self.radius else 0.0
-        if t <= self.scale:
-            return 1.0
-        return (self.scale / t) ** self.shape
-
     def moment(self, p: float) -> float:
         """E[R^p]; infinite for pareto radii when p >= shape."""
         if self.kind == "constant":
@@ -409,26 +401,6 @@ def max_range(model: ModelSpec) -> float:
     if math.isinf(support):
         return math.inf
     return (support * model.beta) ** (1.0 / model.d)
-
-
-def _kernel_tail_prob(kind: str, w: float, a: float, tau: float) -> float:
-    """P(g(w, V) <= a) over the weight V of an independent uniform mark."""
-    if a <= 0.0:
-        return 0.0
-    if kind == "plain":
-        return 1.0 if 1.0 <= a else 0.0
-    if a >= 1.0:
-        return 1.0  # g <= 1 always (weights >= 1)
-    if kind == "product":
-        aw = a * w
-        return 1.0 if aw >= 1.0 else aw ** (tau - 1.0)
-    if kind == "sum":
-        v0 = 1.0 / a - w
-        return 1.0 if v0 <= 1.0 else v0 ** (-(tau - 1.0))
-    # min kernel: g = 1/max(w,v)
-    if w >= 1.0 / a:
-        return 1.0
-    return a ** (tau - 1.0)
 
 
 def _phibar_indicator_weighted(model: ModelSpec, rho: float) -> float:

@@ -230,12 +230,7 @@ def _uniform_in_window(window: Window, count: int, gen: np.random.Generator) -> 
     return out
 
 
-def sample_ppp(
-    window: Window,
-    intensity: float,
-    seed: int,
-    max_points: int | None = None,
-) -> PointCloud:
+def sample_ppp(window: Window, intensity: float, seed: int) -> PointCloud:
     """Sample a marked PPP of the given intensity inside the window.
 
     The count is Poisson(intensity * volume), positions are uniform in the
@@ -247,7 +242,7 @@ def sample_ppp(
     volume = window.volume()
     if volume <= 0:
         raise ConfigurationError("window has nonpositive volume")
-    budget = point_budget() if max_points is None else max_points
+    budget = point_budget()
     expected = intensity * volume
     if expected > budget:
         raise ResourceError(

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coupling import thin_pair
 from .errors import ConfigurationError, ContractError, InternalConsistencyError
-from .estimators import Estimate, make_estimate, replicate_seed, run_replicates
+from .estimators import Estimate, fold, replicate_seed, run_replicates, sample_event_graph
 from .events import crossing_event, crossing_spec, local_crossing_event, renorm_long_edge_event
 from .graph import build_graph
 from .models import ModelSpec
-from .ppp import ball_window, sample_ppp, unit_ball_volume
+from .ppp import ball_window, unit_ball_volume
 
 RENORM_WINDOW_FACTOR = 21.05  # covers C(10r), G(r), C(r), and F(r) at once
 BRACKET_POINT_BUDGET = 100_000
@@ -111,12 +113,9 @@ def renorm_table(
     violations = 0
     for j, r in enumerate(r_values):
         window = ball_window(RENORM_WINDOW_FACTOR * r, d=model.d)
-        scale_seed = replicate_seed(seed, j)
 
-        def one(i: int, r=r, window=window, scale_seed=scale_seed):
-            rep_seed = replicate_seed(scale_seed, i)
-            cloud = sample_ppp(intensity=intensity, window=window, seed=rep_seed)
-            graph = build_graph(cloud, model, seed=rep_seed)
+        def one(rep_seed: int):
+            graph = sample_event_graph(model, intensity, window, rep_seed)
             return (
                 crossing_event(graph, 10.0 * r),
                 local_crossing_event(graph, r),
@@ -124,12 +123,9 @@ def renorm_table(
                 renorm_long_edge_event(graph, r),
             )
 
-        outcomes = run_replicates(one, n, threads)
-        violations += sum(1 for lhs, g, c, f in outcomes if g and not c)
-        lhs_est = make_estimate(sum(o[0] for o in outcomes), n)
-        g_est = make_estimate(sum(o[1] for o in outcomes), n)
-        c_est = make_estimate(sum(o[2] for o in outcomes), n)
-        f_est = make_estimate(sum(o[3] for o in outcomes), n)
+        outcomes = run_replicates(one, n, replicate_seed(seed, j), threads)
+        violations += int(np.sum(outcomes[:, 1] & ~outcomes[:, 2]))
+        lhs_est, g_est, c_est, f_est = fold(outcomes)
         mixing = 0.0 if c_mix is None else c_mix * intensity * r ** -zeta
         fitted, flagged = fitted_constant(lhs_est.p_hat, c_est.p_hat, f_est.p_hat, mixing)
         rows.append(
@@ -231,13 +227,11 @@ def bracket_crossing_intensity(
     evaluations = []
 
     def estimate_at(lam: float) -> Estimate:
-        def one(i: int) -> bool:
-            rep_seed = replicate_seed(seed, i)
+        def one(rep_seed: int) -> bool:
             pair = thin_pair(window, lam, lam_max, rep_seed)
-            graph = build_graph(pair.low, model, seed=rep_seed)
-            return event.evaluate(graph)
+            return event.evaluate(build_graph(pair.low, model, seed=rep_seed))
 
-        est = make_estimate(int(sum(run_replicates(one, n, threads))), n)
+        est = fold(run_replicates(one, n, seed, threads))[0]
         for prev_lam, prev_est in evaluations:
             if (prev_lam < lam and prev_est.hits > est.hits) or (
                 prev_lam > lam and prev_est.hits < est.hits

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from perco.coupling import check_thinning_bounds
 from perco.errors import ConfigurationError
 from perco.estimators import (
     Covering,
@@ -15,9 +16,11 @@ from perco.estimators import (
     covering_number,
     estimate_event,
     estimate_mixing_cov,
+    fold,
     make_estimate,
     probe_long_edge_persistence,
     replicate_seed,
+    run_replicates,
     truncation_bound,
     wilson_interval,
 )
@@ -33,6 +36,7 @@ from perco.models import (
     polynomial_profile,
 )
 from perco.ppp import ball_window, box_window, sample_ppp, sphere_surface, unit_ball_volume
+from perco.renorm import bracket_crossing_intensity, renorm_table
 
 from reference import naive_edges
 
@@ -71,6 +75,57 @@ def test_wilson_coverage():
             covered += lo <= p <= hi
         rate = covered / 10_000
         assert 0.93 <= rate <= 0.97, (p, rate)
+
+
+@pytest.mark.parametrize(
+    "hits, trials, confidence",
+    [(7, 5, 0.95), (-1, 10, 0.95), (3, 10, 1.5), (3, 10, math.nan), (3, 10, 0.0)],
+)
+def test_wilson_rejects_out_of_range_inputs(hits, trials, confidence):
+    with pytest.raises(ConfigurationError):
+        wilson_interval(hits, trials, confidence)
+    with pytest.raises(ConfigurationError):
+        make_estimate(hits, trials, confidence)
+
+
+# ---------------------------------------------------------------- replicate loop
+
+
+def test_run_replicates_shape_and_thread_independence():
+    def pair(rep_seed):
+        return rep_seed % 2 == 0, rep_seed % 3 == 0
+
+    rows = run_replicates(pair, 40, seed=17)
+    assert rows.shape == (40, 2) and rows.dtype == bool
+    assert np.array_equal(run_replicates(pair, 40, seed=17, threads=3), rows)
+    expected = [pair(replicate_seed(17, i)) for i in range(40)]
+    assert rows.tolist() == [list(row) for row in expected]
+    single = run_replicates(lambda rep_seed: rep_seed % 2 == 0, 40, seed=17)
+    assert single.shape == (40, 1)
+    assert np.array_equal(single[:, 0], rows[:, 0])
+    assert [e.hits for e in fold(rows)] == [int(rows[:, 0].sum()), int(rows[:, 1].sum())]
+    for n in (0, -3):
+        with pytest.raises(ConfigurationError):
+            run_replicates(pair, n, seed=17)
+
+
+def test_replicate_loops_golden_hit_counts():
+    # hit counts recorded before the six loops moved onto run_replicates/fold
+    cat = catalog(d=2)
+    est = estimate_event(cat["plain-poly"], 0.8, crossing_spec(1.0), n=48, seed=5)
+    assert est.hits == 16
+    cover = check_covering_inequality(cat["boolean-heavy"], 0.25, r=2.0, c=1.0, c_prime=2.0, n=40, seed=61)
+    assert (cover.lhs.hits, cover.rhs.hits, cover.union_bound_violations) == (22, 26, 0)
+    mixing = estimate_mixing_cov(cat["plain-indicator"], 1.2, r=0.4, x=[2.8, 0.0], n=1000, seed=73)
+    assert (mixing.near.hits, mixing.far.hits) == (374, 393)
+    assert mixing.covariance == -0.0009829829829829907
+    thin = check_thinning_bounds(cat["boolean-heavy"], 0.1, 0.2, r=2.0, n=50, seed=6)
+    assert (thin.low.hits, thin.high.hits, thin.exact_upper_violations) == (2, 18, 0)
+    table = renorm_table(cat["plain-indicator"], 1.5, [0.25, 0.5], n=10, seed=8)
+    counts = [(row.lhs.hits, row.g_est.hits, row.c_est.hits, row.f_est.hits) for row in table.rows]
+    assert counts == [(10, 2, 3, 10), (10, 8, 8, 10)] and table.inclusion_violations == 0
+    bracket = bracket_crossing_intensity(cat["plain-indicator"], 0.2, 2.0, r_probe=0.8, n=12, seed=9, k_max=2)
+    assert [(lam, e.hits) for lam, e in bracket.evaluations] == [(2.0, 4), (0.2, 0), (1.1, 2), (1.55, 3)]
 
 
 # ---------------------------------------------------------------- estimate_event
