@@ -29,6 +29,7 @@ from .events import (
     WINDOW_MARGIN,
     local_crossing_spec,
     long_edge_spec,
+    long_edge_ends,
     long_edge_within,
 )
 from .graph import GeomGraph, build_graph
@@ -454,12 +455,10 @@ def check_covering_inequality(
     origin = np.zeros(d)
 
     def one(rep_seed: int):
-        graph = sample_event_graph(model, intensity, window, rep_seed)
-        lhs = long_edge_within(graph, origin, r, length)
-        rhs = long_edge_within(graph, origin, q * r, length)
-        covered = rhs and any(
-            long_edge_within(graph, center, r, length, closed=True) for center in scaled_centers
-        )
+        ends = long_edge_ends(sample_event_graph(model, intensity, window, rep_seed), length)
+        lhs = long_edge_within(ends, origin, r)
+        rhs = long_edge_within(ends, origin, q * r)
+        covered = rhs and any(long_edge_within(ends, center, r, closed=True) for center in scaled_centers)
         return lhs, rhs, covered
 
     rows = run_replicates(one, n, seed, threads)

@@ -135,26 +135,23 @@ def _require_exterior(graph: GeomGraph, radius: float, what: str) -> None:
 def long_edge_event(graph: GeomGraph, r: float, c: float) -> bool:
     """Some edge has an endpoint with |x| < r and length > c*r."""
     _require_ball(graph, None, (1.0 + c) * r, "long-edge event")
-    return long_edge_within(graph, np.zeros(graph.cloud.dimension), r, c * r)
+    return long_edge_within(long_edge_ends(graph, c * r), np.zeros(graph.cloud.dimension), r)
 
 
-def long_edge_within(graph: GeomGraph, center: np.ndarray, r: float, length: float, closed: bool = False) -> bool:
-    """Some edge longer than ``length`` has an endpoint within r of center.
+def long_edge_ends(graph: GeomGraph, length: float) -> np.ndarray:
+    """Positions of both endpoints of every edge longer than ``length``, one per row."""
+    return graph.cloud.positions[graph.edges[graph.edge_lengths() > length].reshape(-1)]
+
+
+def long_edge_within(ends: np.ndarray, center: np.ndarray, r: float, closed: bool = False) -> bool:
+    """Some long-edge endpoint (a row of ``long_edge_ends``) lies within r of center.
 
     The ball is open unless ``closed``; the caller checks window coverage.
     """
-    if graph.n_edges == 0:
+    if ends.size == 0:
         return False
-    long_mask = graph.edge_lengths() > length
-    if not long_mask.any():
-        return False
-    pos = graph.cloud.positions
-    e = graph.edges[long_mask]
-    d0 = np.sum((pos[e[:, 0]] - center) ** 2, axis=1)
-    d1 = np.sum((pos[e[:, 1]] - center) ** 2, axis=1)
-    if closed:
-        return bool(np.any((d0 <= r * r) | (d1 <= r * r)))
-    return bool(np.any((d0 < r * r) | (d1 < r * r)))
+    d2 = np.sum((ends - center) ** 2, axis=1)
+    return bool(np.any(d2 <= r * r)) if closed else bool(np.any(d2 < r * r))
 
 
 def crossing_event(graph: GeomGraph, r: float) -> bool:

@@ -12,23 +12,27 @@ Three variants:
   damping_radius of the pair midpoint).
 
 ``mark_averaged_connection`` integrates the mark dependence out, giving the
-radial function that all Campbell-formula oracles are built on.
+radial function phibar that all Campbell-formula oracles are built on.  For a
+classical model phibar(rho) = E[profile(G s)] with s = rho^d / beta and
+G = g(W_1, W_2), which is the survival function S(y) = P(1/G >= y)
+integrated against the profile's decrease: S(s / theta) for an indicator
+profile, one fixed composite rule in ln y for a polynomial or custom one.  S
+is closed form for the product and min kernels; for the sum kernel it is the
+survival of a sum of two Paretos, which is also the Pareto boolean model's
+P(R_1 + R_2 > rho).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigurationError, ContractError
 from .ppp import MarkedPoint, PointCloud, sphere_surface
 from .quadrature import DIVERGENT, FINITE, radial_integral
 from .rng import substream
-
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 
 
 def weight_from_mark(u, tau: float):
@@ -397,179 +401,106 @@ def max_range(model: ModelSpec) -> float:
         return max_range(model.base)
     if model.kernel.uses_weights:
         return math.inf
-    support = model.profile.support
-    if math.isinf(support):
-        return math.inf
-    return (support * model.beta) ** (1.0 / model.d)
+    return (model.profile.support * model.beta) ** (1.0 / model.d)
 
 
-def _phibar_indicator_weighted(model: ModelSpec, rho: float) -> float:
-    """Mark average of an indicator profile under a weight kernel (semi-exact)."""
-    a = model.beta * model.profile.theta / rho**model.d
-    if a >= 1.0:
-        return 1.0
-    tau = model.tau
-    kind = model.kernel.kind
-    if kind == "product":
-        x = a ** (tau - 1.0)
-        return x * (1.0 - math.log(x))
-    if kind == "min":
-        x = a ** (tau - 1.0)
-        return 2.0 * x - x * x
-    # sum kernel: exact conditional survival integrated over the first mark
-    w_edge = 1.0 / a - 1.0
-    if w_edge <= 1.0:
-        return 1.0
-    s_star = w_edge ** (-(tau - 1.0))
-
-    def integrand(s):
-        return (1.0 / a - s ** (-1.0 / (tau - 1.0))) ** (-(tau - 1.0))
-
-    inner, _ = integrate.quad(integrand, s_star, 1.0, **_QUAD_OPTS)
-    return s_star + inner
+def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _pow_diff(x: float, a: float, p: float) -> float:
-    """(x**a - x**(a + p)) / p for 0 < x <= 1; the p -> 0 limit is -ln(x) * x**a.
+_SUM_RULE = _unit_rule(32)
+_PANEL_RULE = _unit_rule(10)  # per unit-width panel in ln y
+_RHO_BLOCK = 64  # rho values per vectorised block, which bounds the node arrays
 
-    Both powers lie in (0, 1], so the direct difference never overflows; the
-    series branch avoids cancellation when the exponents nearly coincide.
+
+def _pareto_sum_survival(alpha: float, y) -> np.ndarray:
+    """P(W_1 + W_2 > y) for independent Pareto(alpha) variables W >= 1.
+
+    Splitting on the smaller variable (Ramsay 2006) gives (y/2)^{-2 alpha} +
+    2 y^{-alpha} int_0^{ln(y/2)} alpha e^{-alpha u} (1 - e^u / y)^{-alpha} du.
+    The integrand is smooth and at most alpha 2^alpha e^{-alpha u}, so one
+    Gauss-Legendre rule on [0, min(ln(y/2), 40/alpha)] evaluates it.
     """
-    lx = math.log(x)
-    t = p * lx
-    if abs(t) < 1e-3:
-        return -(x**a) * lx * (1.0 + t / 2.0 + t * t / 6.0)
-    return (x**a - x ** (a + p)) / p
+    y = np.maximum(np.asarray(y, dtype=float), 2.0)
+    top = np.minimum(np.log(0.5 * y), 40.0 / alpha)
+    u = top[..., None] * _SUM_RULE[0]
+    f = np.exp(-alpha * (u + np.log1p(-np.exp(u) / y[..., None])))
+    return (0.5 * y) ** (-2.0 * alpha) + 2.0 * alpha * y**-alpha * top * (f @ _SUM_RULE[1])
 
 
-def _phibar_poly_weighted(model: ModelSpec, rho: float) -> float:
-    """Mark average for polynomial profiles under weight kernels.
-
-    With profile(t) = min(1, t^-delta) the inner expectation over the second
-    weight splits at the argument-1 level set: the certain-connection part is
-    a Pareto tail probability and the complement reduces per kernel to either
-    a stable closed form (product, min) or a single bounded integral (sum).
-    The outer weight integral runs in log-weight coordinates, where the
-    integrand stays O(1) across the whole range even at extreme distances.
-    """
+def _kernel_survival(model: ModelSpec, y) -> np.ndarray:
+    """S(y) = P(1/G >= y) for G = g(W_1, W_2) and Pareto(tau - 1) weights W."""
     alpha = model.tau - 1.0
-    delta = model.profile.delta
-    scale = rho**model.d / model.beta
-    kind = model.kernel.kind
-    w1 = scale - 1.0 if kind == "sum" else scale
-    if w1 <= 1.0:
-        return 1.0
-
-    def inner(w: float) -> float:
-        if kind == "product":
-            if w >= scale:
-                return 1.0
-            x = w / scale
-            return x**alpha + alpha * _pow_diff(x, alpha, delta - alpha)
-        if kind == "min":
-            if w >= scale:
-                return 1.0
-            part = scale**-alpha
-            if w > 1.0:
-                part += (w / scale) ** delta * (1.0 - w**-alpha)
-            m = max(w, 1.0)
-            return part + alpha * scale**-alpha * _pow_diff(m / scale, 0.0, delta - alpha)
-        v0 = scale - w
-        if v0 <= 1.0:
-            return 1.0
-        log_v0 = math.log(v0)
-
-        def tail(u: float) -> float:
-            ratio = (w + math.exp(u)) / scale  # <= 1 on [0, log v0]
-            return math.exp(delta * math.log(ratio) - alpha * u)
-
-        val, _ = integrate.quad(tail, 0.0, log_v0, epsabs=1e-14, epsrel=1e-10, limit=100)
-        return v0**-alpha + alpha * val
-
-    def outer(u: float) -> float:
-        return inner(math.exp(u)) * math.exp(-alpha * u)
-
-    val, _ = integrate.quad(outer, 0.0, math.log(w1), epsabs=1e-13, epsrel=1e-10, limit=200)
-    return min(1.0, w1**-alpha + alpha * val)
+    if model.kernel.kind == "sum":
+        return _pareto_sum_survival(alpha, y)
+    ly = np.log(np.maximum(y, 1.0))
+    x = np.exp(-alpha * ly)
+    if model.kernel.kind == "product":  # ln W_1 + ln W_2 is Gamma(2, alpha)
+        return x * (1.0 + alpha * ly)
+    return x * (2.0 - x)  # min kernel: P(max(W_1, W_2) >= y)
 
 
-def _phibar_generic_weighted(model: ModelSpec, rho: float) -> float:
-    """Nested mark quadrature for smooth profiles under weight kernels."""
-    tau = model.tau
-    kern = model.kernel
-    scale = rho**model.d / model.beta
-    corners = model.profile.corner_args
+def _log_rule(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights w such that sum(w * f(y), axis=-1) integrates f(y) dy/y over [lo, hi].
 
-    def inner(s):
-        w = s ** (-1.0 / (tau - 1.0))
-        pts = []
-        for c in corners:
-            # solve g(w, v) * scale = c for the second weight, then map to a mark
-            a = c / scale
-            if a <= 0:
-                continue
-            if kern.kind == "product":
-                v = 1.0 / (a * w)
-            elif kern.kind == "sum":
-                v = 1.0 / a - w
-            else:
-                v = math.inf if w >= 1.0 / a else 1.0 / a
-            if v > 1.0 and math.isfinite(v):
-                t = v ** (-(tau - 1.0))
-                if 0.0 < t < 1.0:
-                    pts.append(t)
-
-        def f(t):
-            v = t ** (-1.0 / (tau - 1.0))
-            return float(model.profile(kern(w, v) * scale))
-
-        val, _ = integrate.quad(f, 0.0, 1.0, points=sorted(pts) or None, **_QUAD_OPTS)
-        return val
-
-    out, _ = integrate.quad(inner, 0.0, 1.0, epsabs=1e-10, epsrel=1e-8, limit=200)
-    return out
+    Composite Gauss-Legendre in ln y with as many panels as the widest
+    interval has units; lo and hi broadcast, the nodes run along a new last axis.
+    """
+    lo = np.asarray(lo, dtype=float)[..., None]
+    span = np.log(hi[..., None] / lo)
+    panels = max(1, math.ceil(np.max(span, initial=0.0)))
+    x = ((np.arange(panels)[:, None] + _PANEL_RULE[0]) / panels).reshape(-1)
+    return lo * np.exp(span * x), span * np.tile(_PANEL_RULE[1] / panels, panels)
 
 
-def _phibar_scalar(model: ModelSpec, rho: float) -> float:
-    if rho <= 0.0:
-        return 1.0
-    if model.variant == "boolean":
-        law = model.radius_law
-        if law.kind == "constant":
-            return 1.0 if rho < 2.0 * law.radius else 0.0
-        if rho <= 2.0 * law.scale:
-            return 1.0
-        # P(R1 + R2 > rho): exact plateau below s*, survival integral beyond.
-        # Log-mark coordinates keep the boundary layer at s* resolvable even
-        # when s* is many orders of magnitude below 1.
-        s_star = (law.scale / (rho - law.scale)) ** law.shape
-
-        def integrand(y):
-            other = rho - law.scale * math.exp(-y / law.shape)
-            return (law.scale / other) ** law.shape * math.exp(y)
-
-        inner, _ = integrate.quad(integrand, math.log(s_star), 0.0, **_QUAD_OPTS)
-        return min(1.0, s_star + inner)
+def _classical_phibar(model: ModelSpec, s: np.ndarray) -> np.ndarray:
+    """E[profile(G s)] as the integral of S(s/t) d(-profile)(t), for s = rho^d / beta > 0."""
+    prof = model.profile
     if not model.kernel.uses_weights:
-        return float(model.profile(rho**model.d / model.beta))
-    if model.profile.kind == "indicator":
-        return _phibar_indicator_weighted(model, rho)
-    if model.profile.kind == "polynomial":
-        return _phibar_poly_weighted(model, rho)
-    return _phibar_generic_weighted(model, rho)
+        return prof(s)
+    if prof.kind == "indicator":  # one atom at theta
+        return _kernel_survival(model, s / prof.theta)
+    floor = 2.0 if model.kernel.kind == "sum" else 1.0  # least value of 1/G: S = 1 up to it
+    if prof.kind == "polynomial":  # density delta t^{-delta-1} on t > 1, and y = s/t
+        top = np.maximum(s, floor)
+        y, w = _log_rule(floor, top)
+        tail = np.sum(w * (y / top[:, None]) ** prof.delta * _kernel_survival(model, y), axis=-1)
+        return (floor / top) ** prof.delta + prof.delta * tail
+    # custom: the slope of each linear piece, split where S(s/t) reaches 1, and the last knot's jump
+    a, b = prof.knots[:-1], prof.knots[1:]
+    cut = np.clip(s[:, None] / floor, a, b)
+    t, w = _log_rule(a, cut)
+    below = np.sum(w * t * _kernel_survival(model, s[:, None, None] / t), axis=-1)
+    pieces = -np.diff(prof.heights) / (b - a) * (b - cut + below)
+    return pieces.sum(axis=-1) + prof.heights[-1] * _kernel_survival(model, s / prof.knots[-1])
+
+
+def _phibar(model: ModelSpec, rho: np.ndarray) -> np.ndarray:
+    if model.variant == "classical":
+        return _classical_phibar(model, rho**model.d / model.beta)
+    law = model.radius_law
+    if law.kind == "constant":
+        return np.where(rho < 2.0 * law.radius, 1.0, 0.0)
+    return _pareto_sum_survival(law.shape, rho / law.scale)  # P(R_1 + R_2 > rho), R = scale * W
 
 
 def mark_averaged_connection(model: ModelSpec, rho):
     """phibar(rho): the connection probability averaged over both marks.
 
-    Only defined for boolean/classical models (a generalized model's average
-    depends on the ambient intensity).
+    Vectorised over a rho array.  Only defined for boolean/classical models
+    (a generalized model's average depends on the ambient intensity).
     """
     if model.variant == "generalized":
         raise ContractError("mark average is undefined for generalized models; average the base instead")
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = np.array([_phibar_scalar(model, float(p)) for p in rho_arr])
-    return float(out[0]) if np.ndim(rho) == 0 else out
+    flat = np.asarray(rho, dtype=float).reshape(-1)
+    out = np.where(np.isnan(flat), np.nan, 1.0)  # phibar = 1 at rho <= 0
+    pos = np.flatnonzero(flat > 0.0)
+    for lo in range(0, pos.size, _RHO_BLOCK):
+        idx = pos[lo : lo + _RHO_BLOCK]
+        out[idx] = np.clip(_phibar(model, flat[idx]), 0.0, 1.0)
+    return float(out[0]) if np.ndim(rho) == 0 else out.reshape(np.shape(rho))
 
 
 def phibar_breakpoints(model: ModelSpec) -> list[float]:
@@ -654,37 +585,26 @@ def validate_framework(
     r2 = r * np.exp(gen.uniform(math.log(1.0), math.log(10.0), size=n_samples))
     p_far = np.asarray(pair(s, t, r2), dtype=float)
     monotone = bool(np.all(p_ab >= p_far))
-    in_range = bool(
-        np.all((p_ab >= 0) & (p_ab <= 1)) and np.all((p_far >= 0) & (p_far <= 1))
-    )
+    in_range = bool(np.all((p_ab >= 0) & (p_ab <= 1)) and np.all((p_far >= 0) & (p_far <= 1)))
+    checks = dict(symmetric=symmetric, monotone=monotone, in_range=in_range, n_samples=n_samples)
     if phi is not None or not check_integral or not (symmetric and monotone and in_range):
+        summary = model.summary if phi is None else "(caller-supplied pair function)"
         return FrameworkReport(
-            symmetric=symmetric,
-            monotone=monotone,
-            in_range=in_range,
-            integral_value=None,
-            integral_verdict="skipped",
-            tail_exponent=None,
-            model_summary=model.summary if phi is None else "(caller-supplied pair function)",
-            n_samples=n_samples,
+            **checks, integral_value=None, integral_verdict="skipped", tail_exponent=None, model_summary=summary
         )
     res = radial_integral(
-        lambda rho: _phibar_scalar(model, rho),
+        lambda rho: mark_averaged_connection(model, rho),
         model.d,
-        lower=0.0,
         support=max_range(model),
         breakpoints=phibar_breakpoints(model),
     )
     value = sphere_surface(model.d) * res.value if math.isfinite(res.value) else res.value
     return FrameworkReport(
-        symmetric=symmetric,
-        monotone=monotone,
-        in_range=in_range,
+        **checks,
         integral_value=value,
         integral_verdict=res.verdict,
         tail_exponent=res.tail_exponent,
         model_summary=model.summary,
-        n_samples=n_samples,
         note=res.note,
     )
 

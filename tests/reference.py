@@ -5,11 +5,13 @@ vectorized screening, sharing only the pair-uniform convention with the fast
 engine (which is the convention under test elsewhere).
 """
 
+import math
 from collections import deque
 
 import numpy as np
+from scipy import integrate
 
-from perco.models import connection_prob_ctx
+from perco.models import connection_prob_ctx, pairwise_prob
 from perco.ppp import MarkedPoint
 from perco.rng import pair_uniforms
 
@@ -90,3 +92,50 @@ def bfs_path_exists(n, edges, sources, targets, allowed):
                 seen.add(w)
                 queue.append(w)
     return bool(targets & seen)
+
+
+def phibar_nested_quad(model, rho):
+    """Mark average of ``pairwise_prob`` at distance rho for a weighted classical model.
+
+    Nested adaptive quadrature over both marks.  The profile argument
+    g(w, v) * rho^d / beta crosses a corner argument of the profile (a kink
+    or jump) along a curve in the weight plane; the inner integral over the
+    second mark is split where it meets that curve, and the outer integral
+    where the curve leaves the weight range v > 1.
+    """
+    alpha = model.tau - 1.0
+    scale = rho**model.d / model.beta
+    kind = model.kernel.kind
+    levels = [c / scale for c in model.profile.corner_args]  # kernel values at the corners
+
+    def second_weight(w, a):
+        # the v with g(w, v) = a; for the min kernel no v reaches a once w >= 1/a
+        if kind == "product":
+            return 1.0 / (a * w)
+        if kind == "sum":
+            return 1.0 / a - w
+        return math.inf if w >= 1.0 / a else 1.0 / a
+
+    def marks_of(weights):
+        return sorted(v**-alpha for v in weights if 1.0 < v < math.inf)
+
+    def inner(s):
+        w = s ** (-1.0 / alpha)
+        kinks = [second_weight(w, a) for a in levels]
+        if kind == "min":
+            kinks.append(w)  # max(w, v) turns at v = w
+        val, _ = integrate.quad(
+            lambda t: float(pairwise_prob(model, s, t, rho)),
+            0.0,
+            1.0,
+            points=marks_of(kinks) or None,
+            epsabs=1e-12,
+            epsrel=1e-10,
+            limit=200,
+        )
+        return val
+
+    # second_weight(w, a) = 1 at w = 1/a - 1 (sum) or w = 1/a (product, min)
+    outer_kinks = marks_of(1.0 / a - (kind == "sum") for a in levels)
+    out, _ = integrate.quad(inner, 0.0, 1.0, points=outer_kinks or None, epsabs=1e-10, epsrel=1e-8, limit=200)
+    return out

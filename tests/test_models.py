@@ -3,7 +3,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+
+import reference
 
 from perco.errors import ConfigurationError, ContractError
 from perco.models import (
@@ -234,26 +238,57 @@ def test_mark_average_smooth_vs_dblquad():
 
 
 def test_mark_average_poly_matches_nested_quad():
-    # the reduced weighted-polynomial path must agree with the direct nested
-    # quadrature wherever the latter converges in reasonable time
-    from perco.models import _phibar_generic_weighted, _phibar_poly_weighted
-
+    # the survival-function mark average against direct nested quadrature
+    # over both marks: polynomial profiles under every weight kernel, plus the
+    # sum kernel under an indicator and each weight kernel under a custom profile
     combos = [
-        ("product", 2.5, 1.5),
-        ("product", 3.0, 2.0),  # delta == tau - 1: log branch
-        ("product", 2.0, 3.0),
-        ("sum", 3.0, 2.0),
-        ("sum", 2.5, 1.2),
-        ("min", 2.0, 1.5),
-        ("min", 2.2, 4.0),
+        ("product", 2.5, polynomial_profile(1.5)),
+        ("product", 3.0, polynomial_profile(2.0)),  # delta == tau - 1
+        ("product", 2.0, polynomial_profile(3.0)),
+        ("sum", 3.0, polynomial_profile(2.0)),
+        ("sum", 2.5, polynomial_profile(1.2)),
+        ("min", 2.0, polynomial_profile(1.5)),
+        ("min", 2.2, polynomial_profile(4.0)),
+        ("sum", 2.5, indicator_profile(1.0)),
     ]
-    for kind, tau, delta in combos:
-        m = classical_model(2, Kernel(kind), polynomial_profile(delta), tau=tau)
+    custom = custom_profile([0.4, 1.0, 1.5], [1.0, 0.6, 0.0])
+    combos += [(kind, 2.5, custom) for kind in ("product", "sum", "min")]
+    for kind, tau, profile in combos:
+        m = classical_model(2, Kernel(kind), profile, tau=tau)
         for rho in (0.3, 0.8, 1.4, 1.9):
-            fast = _phibar_poly_weighted(m, rho)
-            slow = _phibar_generic_weighted(m, rho)
-            assert fast == pytest.approx(slow, rel=1e-6, abs=1e-12), (kind, tau, delta, rho)
-            assert 0.0 <= fast <= 1.0
+            got = mark_averaged_connection(m, rho)
+            ref = reference.phibar_nested_quad(m, rho)
+            assert got == pytest.approx(ref, rel=1e-9, abs=1e-15), (kind, tau, profile.kind, rho)
+            assert 0.0 <= got <= 1.0
+
+
+def test_pareto_sum_survival_closed_form_at_unit_shape():
+    # for Pareto(1) variables P(W_1 + W_2 > y) = 2/y + 2 ln(y - 1)/y^2.  It is
+    # phibar at y = rho/scale for Pareto boolean radii of shape 1, and at
+    # y = rho (d = 1, beta = theta = 1) for the sum kernel at tau = 2
+    y = np.geomspace(2.0 + 1e-9, 1e30, 400)
+    closed = 2.0 / y + 2.0 * np.log(y - 1.0) / y**2
+    heavy = boolean_model(2, RadiusLaw(kind="pareto", shape=1.0, scale=0.5))
+    np.testing.assert_allclose(mark_averaged_connection(heavy, 0.5 * y), closed, rtol=1e-12, atol=0.0)
+    summed = classical_model(1, Kernel("sum"), indicator_profile(1.0), tau=2.0)
+    np.testing.assert_allclose(mark_averaged_connection(summed, y), closed, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 8]),
+    st.sampled_from(sorted(catalog(2))),
+    st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=40),
+)
+def test_mark_average_array_in_range_monotone_and_elementwise(d, name, log_rhos):
+    model = catalog(d)[name]
+    rhos = np.sort(10.0 ** np.asarray(log_rhos))
+    vals = mark_averaged_connection(model, rhos)
+    assert vals.shape == rhos.shape
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.diff(vals) <= 1e-12 * vals[:-1])
+    scalar = np.array([mark_averaged_connection(model, float(r)) for r in rhos])
+    np.testing.assert_allclose(vals, scalar, rtol=1e-12, atol=1e-300)
 
 
 def test_framework_sum_poly_fast_and_finite():
@@ -274,6 +309,7 @@ def test_mark_average_monotone_and_plain():
     assert np.all(np.diff(vals) <= 1e-15)
     assert vals[0] == 1.0
     assert mark_averaged_connection(m, 2.0) == pytest.approx((2.0**2) ** -1.5)
+    assert np.array_equal(mark_averaged_connection(m, [-1.0, 0.0, math.nan]), [1.0, 1.0, math.nan], equal_nan=True)
     b = catalog(2)["boolean-fixed"]
     assert mark_averaged_connection(b, 0.99) == 1.0
     assert mark_averaged_connection(b, 1.0) == 0.0
