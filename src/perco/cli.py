@@ -32,6 +32,8 @@ from .errors import (
     WindowCoverageError,
 )
 from .estimators import (
+    PERSISTENT_FLOOR,
+    VANISHING_FACTOR,
     check_covering_inequality,
     estimate_event,
     estimate_mixing_cov,
@@ -48,7 +50,7 @@ from .events import (
 from .graph import build_graph, dump_graph
 from .models import validate_framework
 from .ppp import ball_window, sample_ppp
-from .renorm import bracket_crossing_intensity, renorm_table
+from .renorm import BRACKET_MAX_ITER, bracket_crossing_intensity, renorm_table
 from .rng import mix
 
 EVENT_KINDS = ("long_edge", "crossing", "local_crossing", "renorm_long_edge")
@@ -143,8 +145,8 @@ def cmd_probe_h(cfg: ParsedConfig, out: str) -> list:
     r_max = cfg.get_float("grid.r_max") if cfg.has("grid.r_max") else None
     k = cfg.get_int("grid.count", default=6)
     c = cfg.get_float("probe.c", default=1.0)
-    floor = cfg.get_float("probe.floor", default=0.05)
-    factor = cfg.get_float("probe.factor", default=4.0)
+    floor = cfg.get_float("probe.floor", default=PERSISTENT_FLOOR)
+    factor = cfg.get_float("probe.factor", default=VANISHING_FACTOR)
     cfg.ensure_all_used()
     if len(run.intensities) != 1:
         raise ConfigurationError(f"{cfg.path}: probe-h needs exactly one run.intensity")
@@ -313,7 +315,7 @@ def cmd_bracket_lambda(cfg: ParsedConfig, out: str) -> list:
     lam_max = cfg.get_float("bracket.lam_max", required=True)
     r_probe = cfg.get_float("bracket.r_probe") if cfg.has("bracket.r_probe") else None
     threshold = cfg.get_float("bracket.threshold", default=0.5)
-    k_max = cfg.get_int("bracket.k_max", default=12)
+    k_max = cfg.get_int("bracket.k_max", default=BRACKET_MAX_ITER)
     cfg.ensure_all_used()
     if run.intensities:
         raise ConfigurationError(f"{cfg.path}: bracket-lambda takes bracket.lam_min/lam_max, not run.intensity")

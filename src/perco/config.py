@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+from .estimators import DEFAULT_CONFIDENCE
+from .events import WINDOW_MARGIN
 from .models import (
     Kernel,
     ModelSpec,
@@ -234,10 +236,10 @@ def read_run_settings(cfg: ParsedConfig, need_intensity: bool = True) -> RunSett
     threads = cfg.get_int("run.threads", default=1)
     if threads < 1:
         raise cfg.error("run.threads", "run.threads must be at least 1")
-    confidence = cfg.get_float("run.confidence", default=0.95)
+    confidence = cfg.get_float("run.confidence", default=DEFAULT_CONFIDENCE)
     if not 0 < confidence < 1:
         raise cfg.error("run.confidence", "run.confidence must be in (0, 1)")
-    margin = cfg.get_float("run.margin", default=0.05)
+    margin = cfg.get_float("run.margin", default=WINDOW_MARGIN)
     if margin <= 0:
         raise cfg.error("run.margin", "run.margin must be positive")
     return RunSettings(

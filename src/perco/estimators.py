@@ -12,6 +12,12 @@ The Campbell-formula routines compute expected edge counts as deterministic
 integrals against intensity^2; they power calibration tests, the Markov
 sanity bound p(long edge event) <= expected long-edge count, and the window
 truncation bound.
+
+Quantiles come from scipy.special, which scipy.stats itself calls, so that
+perco never imports scipy.stats: ``special.ndtri`` is the normal quantile
+behind ``norm.ppf`` and ``special.stdtrit`` Student's t quantile behind
+``t.ppf``.  The trend slope uses ``linregress``'s closed form.  Each gives
+the scipy.stats result bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigurationError, ContractError
 from .events import (
@@ -64,7 +70,7 @@ def wilson_interval(hits: int, trials: int, confidence: float = DEFAULT_CONFIDEN
         raise ConfigurationError(f"hits must lie in [0, {trials}], got {hits}")
     if not 0 < confidence < 1:
         raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = special.ndtri(0.5 + confidence / 2.0)
     p = hits / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -193,9 +199,15 @@ def _slope_fit(r_values, estimates):
     if len(xs) == 2:
         slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
         return slope, (math.nan, math.nan)
-    fit = stats.linregress(xs, ys)
-    tcrit = stats.t.ppf(0.975, len(xs) - 2)
-    return fit.slope, (fit.slope - tcrit * fit.stderr, fit.slope + tcrit * fit.stderr)
+    # least squares by linregress's closed form, operation for operation
+    ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
+    slope = ssxym / ssxm
+    # ssym == 0 (every log p_hat equals their mean) forces ssxym == 0: no correlation
+    r = math.nan if ssym == 0 else np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    df = len(xs) - 2
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
+    tcrit = special.stdtrit(df, 0.975)
+    return slope, (slope - tcrit * stderr, slope + tcrit * stderr)
 
 
 def probe_long_edge_persistence(
@@ -533,7 +545,7 @@ def estimate_mixing_cov(
     cov = float(np.sum((a - a_bar) * (b - b_bar)) / (n - 1))
     influence = (a - a_bar) * (b - b_bar) - cov
     se = float(np.std(influence, ddof=1) / math.sqrt(n))
-    z = stats.norm.ppf(0.975)
+    z = special.ndtri(0.975)
     return MixingReport(
         covariance=cov,
         ci_low=cov - z * se,

@@ -23,7 +23,7 @@ import numpy as np
 from .coupling import thin_pair
 from .errors import ConfigurationError, ContractError, InternalConsistencyError
 from .estimators import Estimate, fold, replicate_seed, run_replicates, sample_event_graph
-from .events import crossing_event, crossing_spec, local_crossing_event, renorm_long_edge_event
+from .events import WINDOW_MARGIN, crossing_event, crossing_spec, local_crossing_event, renorm_long_edge_event
 from .graph import build_graph
 from .models import ModelSpec
 from .ppp import ball_window, unit_ball_volume
@@ -187,7 +187,7 @@ class BracketResult:
 def default_probe_scale(model: ModelSpec, lam_max: float, budget: int = BRACKET_POINT_BUDGET) -> float:
     """Largest scale whose crossing window stays within the point budget at lam_max."""
     d = model.d
-    window_factor = 2.0 + 0.05
+    window_factor = 2.0 + WINDOW_MARGIN  # the crossing window's radius over r
     vol_unit = unit_ball_volume(d)
     if lam_max <= 0:
         raise ConfigurationError("lam_max must be positive")
@@ -243,51 +243,32 @@ def bracket_crossing_intensity(
         evaluations.append((lam, est))
         return est
 
-    note = f"finite-scale proxy at r = {r_probe:.6g}"
-    top = estimate_at(lam_max)
-    if top.ci_high < p_threshold:
-        return BracketResult(
-            lam_lo=lam_max,
-            lam_hi=lam_max,
-            r_probe=r_probe,
-            threshold=p_threshold,
-            never_crosses=True,
-            crosses_below_lo=False,
-            evaluations=tuple(evaluations),
-            note=note,
-        )
-    bottom = estimate_at(lam_min)
-    if bottom.ci_low > p_threshold:
-        return BracketResult(
-            lam_lo=lam_min,
-            lam_hi=lam_min,
-            r_probe=r_probe,
-            threshold=p_threshold,
-            never_crosses=False,
-            crosses_below_lo=True,
-            evaluations=tuple(evaluations),
-            note=note,
-        )
-
-    lo, hi = lam_min, lam_max
-    for _ in range(k_max):
-        mid = 0.5 * (lo + hi)
-        est = estimate_at(mid)
-        if est.ci_low > p_threshold:
-            hi = mid
-        elif est.ci_high < p_threshold:
-            lo = mid
-        else:
-            # the CI straddles the threshold: more replicates, not more
-            # bisection steps, would be needed to resolve further
-            break
+    never_crosses = bool(estimate_at(lam_max).ci_high < p_threshold)
+    crosses_below_lo = not never_crosses and bool(estimate_at(lam_min).ci_low > p_threshold)
+    if never_crosses:
+        lo = hi = lam_max
+    elif crosses_below_lo:
+        lo = hi = lam_min
+    else:
+        lo, hi = lam_min, lam_max
+        for _ in range(k_max):
+            mid = 0.5 * (lo + hi)
+            est = estimate_at(mid)
+            if est.ci_low > p_threshold:
+                hi = mid
+            elif est.ci_high < p_threshold:
+                lo = mid
+            else:
+                # the CI straddles the threshold: more replicates, not more
+                # bisection steps, would be needed to resolve further
+                break
     return BracketResult(
         lam_lo=lo,
         lam_hi=hi,
         r_probe=r_probe,
         threshold=p_threshold,
-        never_crosses=False,
-        crosses_below_lo=False,
+        never_crosses=never_crosses,
+        crosses_below_lo=crosses_below_lo,
         evaluations=tuple(evaluations),
-        note=note,
+        note=f"finite-scale proxy at r = {r_probe:.6g}",
     )

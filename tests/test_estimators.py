@@ -1,15 +1,22 @@
 """Estimation layer: Wilson intervals, trend verdicts, Campbell oracles, coverings."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, stats
 
+import perco
 from perco.coupling import check_thinning_bounds
 from perco.errors import ConfigurationError
 from perco.estimators import (
     Covering,
+    _slope_fit,
     campbell_long_edges,
     campbell_total_edges,
     check_covering_inequality,
@@ -86,6 +93,96 @@ def test_wilson_rejects_out_of_range_inputs(hits, trials, confidence):
         wilson_interval(hits, trials, confidence)
     with pytest.raises(ConfigurationError):
         make_estimate(hits, trials, confidence)
+
+
+def test_wilson_matches_scipy_stats_normal_quantile():
+    # the interval takes its normal quantile from special.ndtri, which must
+    # give the same bits as stats.norm.ppf
+    for confidence in (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 1 - 1e-9):
+        z = stats.norm.ppf(0.5 + confidence / 2.0)
+        for hits, trials in [(0, 10), (3, 10), (10, 10), (250, 1000), (1, 100_000)]:
+            p = hits / trials
+            denom = 1.0 + z * z / trials
+            center = (p + z * z / (2.0 * trials)) / denom
+            half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
+            want = min(max(0.0, center - half), p), max(min(1.0, center + half), p)
+            assert wilson_interval(hits, trials, confidence) == want
+
+
+def test_importing_perco_leaves_scipy_stats_unloaded():
+    # the tests import scipy.stats themselves, so only a fresh process can tell;
+    # it imports perco from where this process did, whatever the working directory
+    code = "import perco, sys; assert 'scipy.stats' not in sys.modules"
+    src = os.path.dirname(os.path.dirname(perco.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
+
+
+# ---------------------------------------------------------------- trend slope
+
+
+def _slope_fit_scipy_stats(r_values, estimates):
+    """The trend fit as stats.linregress and stats.t.ppf compute it."""
+    xs = [math.log(r) for r, e in zip(r_values, estimates) if e.hits > 0]
+    ys = [math.log(e.p_hat) for e in estimates if e.hits > 0]
+    if len(xs) < 2 or len(set(xs)) < 2:
+        return math.nan, (math.nan, math.nan)
+    if len(xs) == 2:
+        return (ys[1] - ys[0]) / (xs[1] - xs[0]), (math.nan, math.nan)
+    fit = stats.linregress(xs, ys)
+    tcrit = stats.t.ppf(0.975, len(xs) - 2)
+    return fit.slope, (fit.slope - tcrit * fit.stderr, fit.slope + tcrit * fit.stderr)
+
+
+def _bits(x):
+    return "nan" if math.isnan(x) else float(x).hex()
+
+
+@st.composite
+def trend_fits(draw):
+    """(kind, r_values, hits, trials) over 3 to 8 geometric scales."""
+    k = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(("random", "equal", "collinear", "two-point")))
+    r_min = draw(st.floats(1e-3, 1e3))
+    if kind == "collinear":
+        # p_hat doubles with r: the log-log points lie on a line of slope 1
+        base = draw(st.integers(1, 5))
+        trials = base * 2 ** (k - 1) * draw(st.integers(1, 3))
+        return kind, [r_min * 2.0**i for i in range(k)], [base * 2**i for i in range(k)], trials
+    ratio = draw(st.floats(1.01, 10.0))
+    r_values = [r_min * ratio**i for i in range(k)]
+    trials = draw(st.integers(1, 2000))
+    if kind == "random":
+        hits = draw(st.lists(st.integers(0, trials), min_size=k, max_size=k))
+    elif kind == "equal":
+        hits = [draw(st.integers(1, trials))] * k
+    else:
+        nonzero = draw(st.sets(st.integers(0, k - 1), min_size=2, max_size=2))
+        hits = [draw(st.integers(1, trials)) if i in nonzero else 0 for i in range(k)]
+    return kind, r_values, hits, trials
+
+
+@settings(max_examples=300, deadline=None)
+@given(trend_fits())
+def test_slope_fit_matches_linregress_bitwise(fit):
+    kind, r_values, hits, trials = fit
+    estimates = [make_estimate(h, trials) for h in hits]
+    slope, (lo, hi) = _slope_fit(r_values, estimates)
+    want_slope, (want_lo, want_hi) = _slope_fit_scipy_stats(r_values, estimates)
+    assert [_bits(v) for v in (slope, lo, hi)] == [_bits(v) for v in (want_slope, want_lo, want_hi)]
+    if kind == "two-point":
+        assert math.isnan(lo) and math.isnan(hi) and not math.isnan(slope)
+    elif kind == "equal":
+        # the CI is nan when the mean of the equal log p_hat is exact;
+        # otherwise rounding leaves a narrow interval around 0, wider the
+        # closer the scales
+        assert abs(slope) < 1e-12
+        assert math.isnan(lo) or hi - lo < 1e-9
+    elif kind == "collinear":
+        # r rounds to within an ulp or two of 1 (or is clipped to it), and
+        # the square root in the stderr turns that into an interval ~1e-7 wide
+        assert slope == pytest.approx(1.0, rel=1e-12)
+        assert lo <= hi < lo + 1e-5
 
 
 # ---------------------------------------------------------------- replicate loop

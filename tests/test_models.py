@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 import reference
 
@@ -220,27 +219,11 @@ def test_mark_average_monte_carlo_oracle():
             assert abs(got - est) <= 4 * se + 1e-9, (model.summary, rho, got, est)
 
 
-def test_mark_average_smooth_vs_dblquad():
-    # smooth (kinked but continuous) integrand: adaptive 2D quadrature oracle
-    model = classical_model(1, Kernel("product"), polynomial_profile(1.8), tau=2.2)
-    for rho in (0.5, 1.5, 6.0):
-        val, err = integrate.dblquad(
-            lambda t, s: float(pairwise_prob(model, s, t, rho)),
-            1e-12,
-            1 - 1e-12,
-            1e-12,
-            1 - 1e-12,
-            epsabs=1e-11,
-            epsrel=1e-10,
-        )
-        got = mark_averaged_connection(model, rho)
-        assert got == pytest.approx(val, rel=1e-6, abs=1e-9), rho
-
-
 def test_mark_average_poly_matches_nested_quad():
     # the survival-function mark average against direct nested quadrature
     # over both marks: polynomial profiles under every weight kernel, plus the
-    # sum kernel under an indicator and each weight kernel under a custom profile
+    # sum kernel under an indicator and each weight kernel under a custom
+    # profile, all in d = 2; then the d = 1 product kernel out to rho = 6
     combos = [
         ("product", 2.5, polynomial_profile(1.5)),
         ("product", 3.0, polynomial_profile(2.0)),  # delta == tau - 1
@@ -253,12 +236,16 @@ def test_mark_average_poly_matches_nested_quad():
     ]
     custom = custom_profile([0.4, 1.0, 1.5], [1.0, 0.6, 0.0])
     combos += [(kind, 2.5, custom) for kind in ("product", "sum", "min")]
-    for kind, tau, profile in combos:
-        m = classical_model(2, Kernel(kind), profile, tau=tau)
-        for rho in (0.3, 0.8, 1.4, 1.9):
+    cases = [
+        (classical_model(2, Kernel(kind), profile, tau=tau), (0.3, 0.8, 1.4, 1.9))
+        for kind, tau, profile in combos
+    ]
+    cases.append((classical_model(1, Kernel("product"), polynomial_profile(1.8), tau=2.2), (0.5, 1.5, 6.0)))
+    for m, rhos in cases:
+        for rho in rhos:
             got = mark_averaged_connection(m, rho)
             ref = reference.phibar_nested_quad(m, rho)
-            assert got == pytest.approx(ref, rel=1e-9, abs=1e-15), (kind, tau, profile.kind, rho)
+            assert got == pytest.approx(ref, rel=1e-9, abs=1e-15), (m.summary, rho)
             assert 0.0 <= got <= 1.0
 
 
