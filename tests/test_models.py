@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 import reference
 
@@ -217,6 +218,32 @@ def test_mark_average_monte_carlo_oracle():
             se = float(p.std(ddof=1)) / math.sqrt(n)
             got = mark_averaged_connection(model, rho)
             assert abs(got - est) <= 4 * se + 1e-9, (model.summary, rho, got, est)
+
+
+def test_mark_average_smooth_vs_dblquad():
+    # smooth (kinked but continuous) integrand: adaptive 2D quadrature oracle.
+    # The profile's corner lies on the curve s * t = c in the mark square, so
+    # the square is split there: s < c, then below and above t = c / s
+    model = classical_model(1, Kernel("product"), polynomial_profile(1.8), tau=2.2)
+    lo, hi = 1e-12, 1 - 1e-12
+    for rho in (0.5, 1.5, 6.0):
+        c = min(max((rho**model.d / model.beta) ** -(model.tau - 1.0), lo), hi)
+        pieces = [
+            (lo, c, lo, hi),
+            (c, hi, lo, lambda s: c / s),
+            (c, hi, lambda s: c / s, hi),
+        ]
+        val = sum(
+            integrate.dblquad(
+                lambda t, s: float(pairwise_prob(model, s, t, rho)),
+                *piece,
+                epsabs=1e-11,
+                epsrel=1e-10,
+            )[0]
+            for piece in pieces
+        )
+        got = mark_averaged_connection(model, rho)
+        assert got == pytest.approx(val, rel=1e-6, abs=1e-9), rho
 
 
 def test_mark_average_poly_matches_nested_quad():
