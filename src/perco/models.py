@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .ppp import MarkedPoint, PointCloud, sphere_surface
-from .quadrature import DIVERGENT, FINITE, radial_integral
+from .quadrature import DIVERGENT, FINITE, _log_rule, _unit_rule, radial_integral
 from .rng import substream
 
 
@@ -404,15 +404,8 @@ def max_range(model: ModelSpec) -> float:
     return (model.profile.support * model.beta) ** (1.0 / model.d)
 
 
-def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 _SUM_RULE = _unit_rule(32)
-_PANEL_RULE = _unit_rule(10)  # per unit-width panel in ln y
-_RHO_BLOCK = 64  # rho values per vectorised block, which bounds the node arrays
+_RHO_BLOCK = 16  # rho values per vectorised block, which bounds the node arrays
 
 
 def _pareto_sum_survival(alpha: float, y) -> np.ndarray:
@@ -440,19 +433,6 @@ def _kernel_survival(model: ModelSpec, y) -> np.ndarray:
     if model.kernel.kind == "product":  # ln W_1 + ln W_2 is Gamma(2, alpha)
         return x * (1.0 + alpha * ly)
     return x * (2.0 - x)  # min kernel: P(max(W_1, W_2) >= y)
-
-
-def _log_rule(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes y and weights w such that sum(w * f(y), axis=-1) integrates f(y) dy/y over [lo, hi].
-
-    Composite Gauss-Legendre in ln y with as many panels as the widest
-    interval has units; lo and hi broadcast, the nodes run along a new last axis.
-    """
-    lo = np.asarray(lo, dtype=float)[..., None]
-    span = np.log(hi[..., None] / lo)
-    panels = max(1, math.ceil(np.max(span, initial=0.0)))
-    x = ((np.arange(panels)[:, None] + _PANEL_RULE[0]) / panels).reshape(-1)
-    return lo * np.exp(span * x), span * np.tile(_PANEL_RULE[1] / panels, panels)
 
 
 def _classical_phibar(model: ModelSpec, s: np.ndarray) -> np.ndarray:

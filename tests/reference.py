@@ -139,3 +139,18 @@ def phibar_nested_quad(model, rho):
     outer_kinks = marks_of(1.0 / a - (kind == "sum") for a in levels)
     out, _ = integrate.quad(inner, 0.0, 1.0, points=outer_kinks or None, epsabs=1e-10, epsrel=1e-8, limit=200)
     return out
+
+
+def radial_integral_quad(fn, d, lower, support, breakpoints=()):
+    """Integral of rho^{d-1} fn(rho) over [lower, support], both finite.
+
+    Adaptive QUADPACK on each segment between the breakpoints inside
+    (lower, support), with fn called one scalar rho at a time: an
+    independent check of the fixed-rule segment sum in perco.quadrature.
+    """
+    pts = sorted({lower, support, *(float(b) for b in breakpoints if lower < b < support)})
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        val, _ = integrate.quad(lambda rho: rho ** (d - 1) * fn(rho), a, b, epsabs=1e-13, epsrel=1e-10, limit=200)
+        total += val
+    return total

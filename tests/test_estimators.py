@@ -110,9 +110,14 @@ def test_wilson_matches_scipy_stats_normal_quantile():
 
 
 def test_importing_perco_leaves_scipy_stats_unloaded():
-    # the tests import scipy.stats themselves, so only a fresh process can tell;
-    # it imports perco from where this process did, whatever the working directory
-    code = "import perco, sys; assert 'scipy.stats' not in sys.modules"
+    # the tests import scipy.stats and scipy.integrate themselves, so only a fresh
+    # process can tell; it imports perco from where this process did, whatever the
+    # working directory.  scipy.integrate would also load scipy.optimize.
+    code = (
+        "import perco, sys; "
+        "loaded = [m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') if m in sys.modules]; "
+        "assert not loaded, loaded"
+    )
     src = os.path.dirname(os.path.dirname(perco.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
