@@ -16,13 +16,20 @@ limits, 1 internal consistency failures.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .config import ParsedConfig, build_model, parse_config_file, read_run_settings
+from .config import (
+    ParsedConfig,
+    build_model,
+    parse_config_file,
+    read_intensities,
+    read_intensity,
+    read_run_settings,
+    read_seed_threads,
+)
 from .coupling import check_thinning_bounds
 from .errors import (
     ConfigurationError,
@@ -32,6 +39,7 @@ from .errors import (
     WindowCoverageError,
 )
 from .estimators import (
+    DEFAULT_CONFIDENCE,
     PERSISTENT_FLOOR,
     VANISHING_FACTOR,
     check_covering_inequality,
@@ -41,6 +49,7 @@ from .estimators import (
     truncation_bound,
 )
 from .events import (
+    WINDOW_MARGIN,
     EventSpec,
     crossing_spec,
     local_crossing_spec,
@@ -107,14 +116,21 @@ def _event_from_config(cfg: ParsedConfig, d: int) -> EventSpec:
 
 def cmd_estimate(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
+    intensities = read_intensities(cfg)
     run = read_run_settings(cfg)
+    confidence = cfg.get_float("run.confidence", default=DEFAULT_CONFIDENCE)
+    if not 0 < confidence < 1:
+        raise cfg.error("run.confidence", "run.confidence must be in (0, 1)")
+    margin = cfg.get_float("run.margin", default=WINDOW_MARGIN)
+    if margin <= 0:
+        raise cfg.error("run.margin", "run.margin must be positive")
     event = _event_from_config(cfg, model.d)
     cfg.ensure_all_used()
-    window = event.window(model.d, margin=run.margin)
+    window = event.window(model.d, margin=margin)
     ell = event.truncation_radius()
     unit_bias = truncation_bound(model, 1.0, window, ell)
     rows = []
-    for j, lam in enumerate(run.intensities):
+    for j, lam in enumerate(intensities):
         est = estimate_event(
             model,
             lam,
@@ -123,7 +139,7 @@ def cmd_estimate(cfg: ParsedConfig, out: str) -> list:
             seed=int(mix(run.seed, "intensity", j)),
             threads=run.threads,
             window=window,
-            confidence=run.confidence,
+            confidence=confidence,
         )
         bias = 0.0 if lam == 0 else unit_bias * lam * lam
         rows.append([lam, event.kind, event.r, event.c] + _estimate_cells(est) + [bias])
@@ -131,7 +147,7 @@ def cmd_estimate(cfg: ParsedConfig, out: str) -> list:
         ("subcommand", "estimate"),
         ("event", event.kind),
         ("window_radius", window.radius),
-        ("confidence", run.confidence),
+        ("confidence", confidence),
     ]
     header = ["intensity", "event", "r", "c"] + ESTIMATE_COLS + ["truncation_bound"]
     write_result(out, comments, header, rows)
@@ -140,6 +156,7 @@ def cmd_estimate(cfg: ParsedConfig, out: str) -> list:
 
 def cmd_probe_h(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
+    intensity = read_intensity(cfg)
     run = read_run_settings(cfg)
     r_min = cfg.get_float("grid.r_min", required=True)
     r_max = cfg.get_float("grid.r_max") if cfg.has("grid.r_max") else None
@@ -148,11 +165,9 @@ def cmd_probe_h(cfg: ParsedConfig, out: str) -> list:
     floor = cfg.get_float("probe.floor", default=PERSISTENT_FLOOR)
     factor = cfg.get_float("probe.factor", default=VANISHING_FACTOR)
     cfg.ensure_all_used()
-    if len(run.intensities) != 1:
-        raise ConfigurationError(f"{cfg.path}: probe-h needs exactly one run.intensity")
     report = probe_long_edge_persistence(
         model,
-        run.intensities[0],
+        intensity,
         c=c,
         r_min=r_min,
         r_max=r_max,
@@ -185,15 +200,14 @@ def cmd_probe_h(cfg: ParsedConfig, out: str) -> list:
 
 def cmd_check_lemma1(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
+    intensity = read_intensity(cfg)
     run = read_run_settings(cfg)
     r = cfg.get_float("lemma1.r", required=True)
     c = cfg.get_float("lemma1.c", required=True)
     c_prime = cfg.get_float("lemma1.c_prime", required=True)
     cfg.ensure_all_used()
-    if len(run.intensities) != 1:
-        raise ConfigurationError(f"{cfg.path}: check-lemma1 needs exactly one run.intensity")
     check = check_covering_inequality(
-        model, run.intensities[0], r=r, c=c, c_prime=c_prime,
+        model, intensity, r=r, c=c, c_prime=c_prime,
         n=run.trials, seed=run.seed, threads=run.threads,
     )
     ok = check.union_bound_violations == 0 and not check.statistically_violated
@@ -216,13 +230,11 @@ def cmd_check_lemma1(cfg: ParsedConfig, out: str) -> list:
 
 def cmd_check_lemma2(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
-    run = read_run_settings(cfg, need_intensity=False)
+    run = read_run_settings(cfg)
     lam_low = cfg.get_float("lemma2.lam_low", required=True)
     lam_high = cfg.get_float("lemma2.lam_high", required=True)
     r = cfg.get_float("lemma2.r", required=True)
     cfg.ensure_all_used()
-    if run.intensities:
-        raise ConfigurationError(f"{cfg.path}: check-lemma2 takes lemma2.lam_low/lam_high, not run.intensity")
     report = check_thinning_bounds(
         model, lam_low, lam_high, r=r, n=run.trials, seed=run.seed, threads=run.threads,
     )
@@ -245,16 +257,15 @@ def cmd_check_lemma2(cfg: ParsedConfig, out: str) -> list:
 
 def cmd_mixing_cov(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
+    intensity = read_intensity(cfg)
     run = read_run_settings(cfg)
     r = cfg.get_float("mixing.r", required=True)
     x = cfg.get_floats("mixing.x", required=True)
     if len(x) != model.d:
         raise cfg.error("mixing.x", f"mixing.x needs {model.d} coordinates")
     cfg.ensure_all_used()
-    if len(run.intensities) != 1:
-        raise ConfigurationError(f"{cfg.path}: mixing-cov needs exactly one run.intensity")
     report = estimate_mixing_cov(
-        model, run.intensities[0], r=r, x=x, n=run.trials, seed=run.seed, threads=run.threads,
+        model, intensity, r=r, x=x, n=run.trials, seed=run.seed, threads=run.threads,
     )
     comments = [
         ("subcommand", "mixing-cov"),
@@ -275,15 +286,14 @@ def cmd_mixing_cov(cfg: ParsedConfig, out: str) -> list:
 
 def cmd_renorm_table(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
+    intensity = read_intensity(cfg)
     run = read_run_settings(cfg)
     scales = cfg.get_floats("renorm.scales", required=True)
     c_mix = cfg.get_float("renorm.c_mix") if cfg.has("renorm.c_mix") else None
     zeta = cfg.get_float("renorm.zeta") if cfg.has("renorm.zeta") else None
     cfg.ensure_all_used()
-    if len(run.intensities) != 1:
-        raise ConfigurationError(f"{cfg.path}: renorm-table needs exactly one run.intensity")
     table = renorm_table(
-        model, run.intensities[0], scales,
+        model, intensity, scales,
         n=run.trials, seed=run.seed, threads=run.threads, c_mix=c_mix, zeta=zeta,
     )
     comments = [
@@ -310,15 +320,13 @@ def cmd_renorm_table(cfg: ParsedConfig, out: str) -> list:
 
 def cmd_bracket_lambda(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
-    run = read_run_settings(cfg, need_intensity=False)
+    run = read_run_settings(cfg)
     lam_min = cfg.get_float("bracket.lam_min", required=True)
     lam_max = cfg.get_float("bracket.lam_max", required=True)
     r_probe = cfg.get_float("bracket.r_probe") if cfg.has("bracket.r_probe") else None
     threshold = cfg.get_float("bracket.threshold", default=0.5)
     k_max = cfg.get_int("bracket.k_max", default=BRACKET_MAX_ITER)
     cfg.ensure_all_used()
-    if run.intensities:
-        raise ConfigurationError(f"{cfg.path}: bracket-lambda takes bracket.lam_min/lam_max, not run.intensity")
     result = bracket_crossing_intensity(
         model, lam_min, lam_max,
         r_probe=r_probe, p_threshold=threshold,
@@ -346,12 +354,9 @@ def cmd_bracket_lambda(cfg: ParsedConfig, out: str) -> list:
 def cmd_validate_model(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
     n_samples = cfg.get_int("validate.samples", default=10_000)
-    seed = cfg.get_int("run.seed", default=0)
     # validation is one vectorized pass; the global thread knob is accepted
     # for flag uniformity but cannot change the result
-    threads = cfg.get_int("run.threads", default=1)
-    if threads < 1:
-        raise cfg.error("run.threads", "must be at least 1")
+    seed, _ = read_seed_threads(cfg)
     cfg.ensure_all_used()
     report = validate_framework(model, n_samples=n_samples, seed=seed)
     comments = [
@@ -375,16 +380,15 @@ def cmd_validate_model(cfg: ParsedConfig, out: str) -> list:
 
 def cmd_dump_graph(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
-    run = read_run_settings(cfg)
+    intensity = read_intensity(cfg)
+    seed, _ = read_seed_threads(cfg)
     radius = cfg.get_float("dump.radius", required=True)
     cfg.ensure_all_used()
-    if len(run.intensities) != 1:
-        raise ConfigurationError(f"{cfg.path}: dump-graph needs exactly one run.intensity")
     if radius <= 0:
         raise cfg.error("dump.radius", "dump.radius must be positive")
     window = ball_window(radius, d=model.d)
-    cloud = sample_ppp(intensity=run.intensities[0], window=window, seed=run.seed)
-    graph = build_graph(cloud, model, seed=run.seed)
+    cloud = sample_ppp(intensity=intensity, window=window, seed=seed)
+    graph = build_graph(cloud, model, seed=seed)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).strftime('%Y-%m-%dT%H:%M:%SZ')}\n")
         dump_graph(graph, fh)
@@ -524,12 +528,6 @@ def main(argv=None) -> int:
         return 2
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
-        print(
-            "hint: shrink the window or intensity, or raise the cap via the "
-            "PERCO_BUDGET_POINTS environment variable "
-            f"(currently {os.environ.get('PERCO_BUDGET_POINTS', 'unset')})",
-            file=sys.stderr,
-        )
         return 3
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -6,6 +6,12 @@ every key so validation errors point at the offending line.  Keys are tracked
 as they are consumed; anything left over after a runner has read its
 parameters is reported as unknown or inapplicable, before any sampling
 starts.
+
+Each subcommand reads only the run.* keys it uses: run.seed and run.threads
+everywhere (read_seed_threads), run.trials in the seven sampling subcommands
+(read_run_settings), run.intensity wherever one intensity is sampled
+(read_intensity), and run.intensities, run.confidence and run.margin in
+estimate alone.  Any other run.* key is reported like an unknown key.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimators import DEFAULT_CONFIDENCE
-from .events import WINDOW_MARGIN
 from .models import (
     Kernel,
     ModelSpec,
@@ -202,51 +206,43 @@ def build_model(cfg: ParsedConfig) -> ModelSpec:
 
 @dataclass(frozen=True)
 class RunSettings:
-    intensities: tuple
     trials: int
     seed: int
     threads: int
-    confidence: float
-    margin: float
 
 
-def read_run_settings(cfg: ParsedConfig, need_intensity: bool = True) -> RunSettings:
-    single = cfg.get_float("run.intensity") if cfg.has("run.intensity") else None
-    many = cfg.get_floats("run.intensities") if cfg.has("run.intensities") else None
-    if single is not None and many is not None:
-        raise cfg.error("run.intensities", "give either run.intensity or run.intensities, not both")
-    if single is not None:
-        intensities = (single,)
-    elif many is not None:
-        intensities = tuple(many)
-    elif need_intensity:
-        raise ConfigurationError(f"{cfg.path}: missing required key 'run.intensity'")
-    else:
-        intensities = ()
-    for lam in intensities:
-        if lam < 0 or not np.isfinite(lam):
-            raise cfg.error(
-                "run.intensity" if cfg.has("run.intensity") else "run.intensities",
-                "intensities must be finite and nonnegative",
-            )
-    trials = cfg.get_int("run.trials", default=200)
-    if trials < 1:
-        raise cfg.error("run.trials", "run.trials must be at least 1")
+def read_seed_threads(cfg: ParsedConfig) -> tuple:
+    """run.seed and run.threads, the two run keys every subcommand accepts."""
     seed = cfg.get_int("run.seed", default=0)
     threads = cfg.get_int("run.threads", default=1)
     if threads < 1:
         raise cfg.error("run.threads", "run.threads must be at least 1")
-    confidence = cfg.get_float("run.confidence", default=DEFAULT_CONFIDENCE)
-    if not 0 < confidence < 1:
-        raise cfg.error("run.confidence", "run.confidence must be in (0, 1)")
-    margin = cfg.get_float("run.margin", default=WINDOW_MARGIN)
-    if margin <= 0:
-        raise cfg.error("run.margin", "run.margin must be positive")
-    return RunSettings(
-        intensities=intensities,
-        trials=trials,
-        seed=seed,
-        threads=threads,
-        confidence=confidence,
-        margin=margin,
-    )
+    return seed, threads
+
+
+def read_run_settings(cfg: ParsedConfig) -> RunSettings:
+    trials = cfg.get_int("run.trials", default=200)
+    if trials < 1:
+        raise cfg.error("run.trials", "run.trials must be at least 1")
+    seed, threads = read_seed_threads(cfg)
+    return RunSettings(trials=trials, seed=seed, threads=threads)
+
+
+def _checked_intensities(cfg: ParsedConfig, key: str, intensities: tuple) -> tuple:
+    if any(lam < 0 or not np.isfinite(lam) for lam in intensities):
+        raise cfg.error(key, "intensities must be finite and nonnegative")
+    return intensities
+
+
+def read_intensity(cfg: ParsedConfig) -> float:
+    """The required run.intensity of a subcommand that samples at one intensity."""
+    return _checked_intensities(cfg, "run.intensity", (cfg.get_float("run.intensity", required=True),))[0]
+
+
+def read_intensities(cfg: ParsedConfig) -> tuple:
+    """run.intensities, or else the single required run.intensity."""
+    if not cfg.has("run.intensities"):
+        return (read_intensity(cfg),)
+    if cfg.has("run.intensity"):
+        raise cfg.error("run.intensities", "give either run.intensity or run.intensities, not both")
+    return _checked_intensities(cfg, "run.intensities", tuple(cfg.get_floats("run.intensities")))

@@ -530,9 +530,9 @@ def estimate_mixing_cov(
         raise ConfigurationError("centers must be separated by more than 6r")
     if n < MIN_COV_TRIALS:
         raise ConfigurationError(f"covariance CI needs at least {MIN_COV_TRIALS} replicates")
-    window = ball_window(sep + (3.0 + WINDOW_MARGIN) * r, d=model.d)
     near_event = local_crossing_spec(r)
     far_event = local_crossing_spec(r, center=x)
+    window = far_event.window(model.d)
 
     def one(rep_seed: int):
         graph = sample_event_graph(model, intensity, window, rep_seed)

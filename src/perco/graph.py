@@ -202,7 +202,7 @@ def _sweep_blocks(cloud: PointCloud, cutoff: float, budget: int):
     if total > budget:
         raise ResourceError(
             f"exact pair sweep needs {total} pair evaluations, budget is {budget}; "
-            "shrink the window, lower the intensity, or raise pair_budget"
+            "shrink the window, lower the intensity, or pass a larger pair_budget to build_graph"
         )
     pos = cloud.positions
     reach2 = (cutoff * (1.0 + _RANGE_PAD)) ** 2
@@ -253,7 +253,7 @@ def _layered_blocks(cloud: PointCloud, model: ModelSpec, cutoff: float, budget: 
         if n_candidates > budget:
             raise ResourceError(
                 f"range search finds {n_candidates} candidate pairs, budget is {budget}; "
-                "shrink the window, lower the intensity, or raise pair_budget"
+                "shrink the window, lower the intensity, or pass a larger pair_budget to build_graph"
             )
     # class pairs are gathered into blocks of about _CHUNK pairs, so the
     # screen runs a few times per build rather than once per class pair

@@ -173,6 +173,11 @@ class Kernel:
     def uses_weights(self) -> bool:
         return self.kind != "plain"
 
+    @property
+    def floor(self) -> float:
+        """Least value of 1/g over weights >= 1: w + v >= 2 for the sum kernel, 1 otherwise."""
+        return 2.0 if self.kind == "sum" else 1.0
+
 
 @dataclass(frozen=True)
 class RadiusLaw:
@@ -442,7 +447,7 @@ def _classical_phibar(model: ModelSpec, s: np.ndarray) -> np.ndarray:
         return prof(s)
     if prof.kind == "indicator":  # one atom at theta
         return _kernel_survival(model, s / prof.theta)
-    floor = 2.0 if model.kernel.kind == "sum" else 1.0  # least value of 1/G: S = 1 up to it
+    floor = model.kernel.floor  # S = 1 up to it
     if prof.kind == "polynomial":  # density delta t^{-delta-1} on t > 1, and y = s/t
         top = np.maximum(s, floor)
         y, w = _log_rule(floor, top)
@@ -490,11 +495,9 @@ def phibar_breakpoints(model: ModelSpec) -> list[float]:
     if model.variant == "boolean":
         law = model.radius_law
         return [2.0 * law.radius] if law.kind == "constant" else [2.0 * law.scale]
-    pts = []
-    for c in model.profile.corner_args:
-        if math.isfinite(c) and c > 0:
-            pts.append((c * model.beta) ** (1.0 / model.d))
-    return sorted(set(pts))
+    # 1/G >= floor, so the profile argument G s stays below a corner c until s = floor c
+    corners = [c for c in model.profile.corner_args if math.isfinite(c) and c > 0]
+    return sorted({(model.kernel.floor * c * model.beta) ** (1.0 / model.d) for c in corners})
 
 
 @dataclass(frozen=True)

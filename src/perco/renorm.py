@@ -23,12 +23,13 @@ import numpy as np
 from .coupling import thin_pair
 from .errors import ConfigurationError, ContractError, InternalConsistencyError
 from .estimators import Estimate, fold, replicate_seed, run_replicates, sample_event_graph
-from .events import WINDOW_MARGIN, crossing_event, crossing_spec, local_crossing_event, renorm_long_edge_event
+from .events import (
+    crossing_event, crossing_spec, local_crossing_event, renorm_long_edge_event, renorm_long_edge_spec,
+)
 from .graph import build_graph
 from .models import ModelSpec
-from .ppp import ball_window, unit_ball_volume
+from .ppp import unit_ball_volume
 
-RENORM_WINDOW_FACTOR = 21.05  # covers C(10r), G(r), C(r), and F(r) at once
 BRACKET_POINT_BUDGET = 100_000
 BRACKET_MAX_ITER = 12
 
@@ -112,7 +113,7 @@ def renorm_table(
     rows = []
     violations = 0
     for j, r in enumerate(r_values):
-        window = ball_window(RENORM_WINDOW_FACTOR * r, d=model.d)
+        window = renorm_long_edge_spec(r).window(model.d)  # also covers C(10r), G(r) and C(r)
 
         def one(rep_seed: int):
             graph = sample_event_graph(model, intensity, window, rep_seed)
@@ -186,12 +187,11 @@ class BracketResult:
 
 def default_probe_scale(model: ModelSpec, lam_max: float, budget: int = BRACKET_POINT_BUDGET) -> float:
     """Largest scale whose crossing window stays within the point budget at lam_max."""
-    d = model.d
-    window_factor = 2.0 + WINDOW_MARGIN  # the crossing window's radius over r
-    vol_unit = unit_ball_volume(d)
     if lam_max <= 0:
         raise ConfigurationError("lam_max must be positive")
-    return (budget / (lam_max * vol_unit)) ** (1.0 / d) / window_factor
+    d = model.d
+    window_factor = crossing_spec(1.0).window(d).radius  # the crossing window's radius over r
+    return (budget / (lam_max * unit_ball_volume(d))) ** (1.0 / d) / window_factor
 
 
 def bracket_crossing_intensity(

@@ -4,14 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from perco import cli
+from perco import cli, graph
 from perco.config import (
     build_model,
     parse_config_text,
-    read_run_settings,
     serialize_config,
 )
 from perco.errors import ConfigurationError
+from test_acceptance import DETERMINISM_CONFIGS
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -151,16 +151,16 @@ class TestBuildModel:
         with pytest.raises(ConfigurationError, match="'model.radius.shape' does not apply"):
             build_model(bad)
 
-    def test_run_settings_validation(self):
-        cfg = parse_config_text("run.intensity = 1\nrun.intensities = 1 2\n", path="r.cfg")
-        with pytest.raises(ConfigurationError, match="not both"):
-            read_run_settings(cfg)
-        cfg = parse_config_text("run.intensity = -1\n", path="r.cfg")
-        with pytest.raises(ConfigurationError, match="nonnegative"):
-            read_run_settings(cfg)
-        cfg = parse_config_text("run.intensity = 1\nrun.confidence = 1.5\n", path="r.cfg")
-        with pytest.raises(ConfigurationError, match="run.confidence"):
-            read_run_settings(cfg)
+    def test_run_settings_validation(self, tmp_path, capsys):
+        for run_lines, where, message in [
+            ("run.intensity = 1\nrun.intensities = 1 2\n", "r.cfg:7", "not both"),
+            ("run.intensity = -1\n", "r.cfg:6", "nonnegative"),
+            ("run.intensity = 1\nrun.confidence = 1.5\n", "r.cfg:7", "run.confidence"),
+        ]:
+            cfg = write_config(tmp_path, BOOLEAN_CFG + run_lines + "event.kind = crossing\nevent.r = 1\n", name="r.cfg")
+            assert cli.main(["estimate", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+            err = capsys.readouterr().err
+            assert where in err and message in err
 
 
 class TestSubcommands:
@@ -323,6 +323,17 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "PERCO_BUDGET_POINTS" in err
 
+    def test_pair_budget_exceeded_exits_3_without_point_budget_hint(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graph, "DEFAULT_PAIR_BUDGET", 10)
+        cfg = write_config(tmp_path, (
+            "model.variant = classical\nmodel.d = 2\nmodel.kernel = plain\n"
+            "model.profile.kind = polynomial\nmodel.profile.delta = 2.5\n"
+            "run.intensity = 1\ndump.radius = 3\n"
+        ))
+        assert cli.main(["dump-graph", cfg, "--out", str(tmp_path / "g.txt")]) == 3
+        err = capsys.readouterr().err
+        assert "pair_budget" in err and "PERCO_BUDGET_POINTS" not in err
+
     def test_plot_data_rejects_unplottable_and_malformed(self, tmp_path, capsys):
         val = tmp_path / "val.csv"
         val.write_text("# generated now\nsymmetric,monotone\ntrue,true\n")
@@ -343,6 +354,43 @@ class TestCliErrors:
         header, rows = read_rows(out)
         assert header == ["series", "x", "y", "y_lo", "y_hi"]
         assert rows == []
+
+
+# the run.* keys each subcommand reads; every other run.* key is rejected at its line
+RUN_KEY_VALUES = {
+    "run.intensity": "0.5",
+    "run.intensities": "0.5 1",
+    "run.trials": "5",
+    "run.seed": "1",
+    "run.threads": "2",
+    "run.confidence": "0.5",
+    "run.margin": "1.0",
+}
+SAMPLING_KEYS = {"run.trials", "run.seed", "run.threads"}
+RUN_KEYS_READ = {
+    "estimate": set(RUN_KEY_VALUES),
+    "probe-h": SAMPLING_KEYS | {"run.intensity"},
+    "check-lemma1": SAMPLING_KEYS | {"run.intensity"},
+    "check-lemma2": SAMPLING_KEYS,
+    "mixing-cov": SAMPLING_KEYS | {"run.intensity"},
+    "renorm-table": SAMPLING_KEYS | {"run.intensity"},
+    "bracket-lambda": SAMPLING_KEYS,
+    "validate-model": {"run.seed", "run.threads"},
+    "dump-graph": {"run.seed", "run.threads", "run.intensity"},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(DETERMINISM_CONFIGS))
+def test_subcommands_reject_run_keys_they_do_not_read(tmp_path, capsys, subcommand):
+    base = DETERMINISM_CONFIGS[subcommand]
+    line = base.count("\n") + 1
+    for key in sorted(set(RUN_KEY_VALUES) - RUN_KEYS_READ[subcommand]):
+        cfg = write_config(tmp_path, base + f"{key} = {RUN_KEY_VALUES[key]}\n", name="extra.cfg")
+        assert cli.main([subcommand, cfg, "--out", str(tmp_path / "x.out")]) == 2, key
+        err = capsys.readouterr().err
+        assert f"extra.cfg:{line}: unknown or inapplicable key '{key}'" in err
+    cfg = write_config(tmp_path, base + "run.threads = 2\n", name="threads.cfg")
+    assert cli.main([subcommand, cfg, "--out", str(tmp_path / "x.out")]) == 0
 
 
 class TestDeterminism:

@@ -76,10 +76,7 @@ def test_radial_integral_matches_segmentwise_quad(name, d, lower, width):
     bps = phibar_breakpoints(model)
     got = radial_integral(lambda rho: mark_averaged_connection(model, rho), d, lower, support, bps).value
     want = radial_integral_quad(lambda rho: mark_averaged_connection(model, rho), d, lower, support, bps)
-    # the sum kernel's phibar kinks at rho = (2 beta)^(1/d), where 1/G reaches its least value 2,
-    # not at the declared breakpoint beta^(1/d), so neither rule sees that kink
-    rel = 1e-5 if name == "sum-poly" else 1e-10
-    assert got == pytest.approx(want, rel=rel, abs=1e-300)
+    assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
 
 def test_radial_integral_inconclusive_on_oscillation():
