@@ -407,25 +407,32 @@ COMMANDS = {
     "dump-graph": cmd_dump_graph,
 }
 
-# header signature -> (x column, series column or fixed label, y columns)
-_PLOT_RULES = [
-    ({"intensity", "event", "p_hat"}, "intensity", ("column", "event"), ("p_hat", "ci_low", "ci_high")),
-    ({"r", "expected_long_edges"}, "r", ("fixed", "long_edge"), ("p_hat", "ci_low", "ci_high")),
-    ({"side", "ball_radius"}, "ball_radius", ("column", "side"), ("p_hat", "ci_low", "ci_high")),
-    ({"side", "intensity"}, "intensity", ("column", "side"), ("p_hat", "ci_low", "ci_high")),
-    ({"separation", "covariance"}, "separation", ("fixed", "covariance"), ("covariance", "ci_low", "ci_high")),
-    ({"step", "intensity"}, "intensity", ("fixed", "crossing"), ("p_hat", "ci_low", "ci_high")),
-]
+_ESTIMATE_Y = ("p_hat", "ci_low", "ci_high")
 
-_RENORM_SERIES = ("big_cross", "local_cross", "cross", "long_edge")
+# source subcommand -> its series, each (fixed label, label column, x column, y columns):
+# a series takes its label from the label column when there is one, else the fixed label
+_PLOT_SERIES = {
+    "estimate": [(None, "event", "intensity", _ESTIMATE_Y)],
+    "probe-h": [("long_edge", None, "r", _ESTIMATE_Y)],
+    "check-lemma1": [(None, "side", "ball_radius", _ESTIMATE_Y)],
+    "check-lemma2": [(None, "side", "intensity", _ESTIMATE_Y)],
+    "mixing-cov": [("covariance", None, "separation", ("covariance", "ci_low", "ci_high"))],
+    "renorm-table": [
+        (name, None, "r", (f"{name}_p", f"{name}_lo", f"{name}_hi"))
+        for name in ("big_cross", "local_cross", "cross", "long_edge")
+    ],
+    "bracket-lambda": [("crossing", None, "intensity", _ESTIMATE_Y)],
+}
 
 
 def _read_result(path: str):
+    """The ``# subcommand = ...`` value (None without one), the CSV header and the rows."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
     except OSError as exc:
         raise ConfigurationError(f"cannot read result file {path}: {exc}") from None
+    subcommand = next((ln.split(" = ", 1)[1] for ln in lines if ln.startswith("# subcommand = ")), None)
     data = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
     if not data:
         raise ConfigurationError(f"{path}: no CSV header found")
@@ -434,39 +441,34 @@ def _read_result(path: str):
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ConfigurationError(f"{path}: row {i + 1} has {len(row)} fields, header has {len(header)}")
-    return header, rows
+    return subcommand, header, rows
 
 
 def emit_plot_data(result_path: str, out: str) -> list:
-    """Reshape a result CSV into tidy (series, x, y, y_lo, y_hi) rows."""
-    header, rows = _read_result(result_path)
+    """Reshape a result CSV into tidy (series, x, y, y_lo, y_hi) rows.
+
+    The series follow from the file's ``# subcommand = ...`` line.
+    """
+    subcommand, header, rows = _read_result(result_path)
+    if subcommand is None:
+        raise ConfigurationError(f"{result_path}: no plottable series: the file has no '# subcommand = ...' line")
+    if subcommand not in _PLOT_SERIES:
+        raise ConfigurationError(f"{result_path}: no plottable series in a {subcommand} result")
+    series = _PLOT_SERIES[subcommand]
     cols = {name: i for i, name in enumerate(header)}
-    series_rows = []
-    if "big_cross_p" in cols:
-        for row in rows:
-            for name in _RENORM_SERIES:
-                series_rows.append((
-                    name,
-                    float(row[cols["r"]]),
-                    float(row[cols[f"{name}_p"]]),
-                    float(row[cols[f"{name}_lo"]]),
-                    float(row[cols[f"{name}_hi"]]),
-                ))
-    else:
-        for signature, x_col, series_rule, y_cols in _PLOT_RULES:
-            if signature <= set(header):
-                break
-        else:
-            raise ConfigurationError(f"{result_path}: no plottable series in columns {', '.join(header)}")
-        for row in rows:
-            label = row[cols[series_rule[1]]] if series_rule[0] == "column" else series_rule[1]
-            series_rows.append((
-                label,
-                float(row[cols[x_col]]),
-                float(row[cols[y_cols[0]]]),
-                float(row[cols[y_cols[1]]]),
-                float(row[cols[y_cols[2]]]),
-            ))
+    needed = {name for _, label_col, x_col, y_cols in series for name in (label_col, x_col, *y_cols)}
+    missing = sorted(needed - set(cols) - {None})
+    if missing:
+        raise ConfigurationError(f"{result_path}: a {subcommand} result needs column(s) {', '.join(missing)}")
+    series_rows = [
+        (
+            row[cols[label_col]] if label_col else label,
+            float(row[cols[x_col]]),
+            *(float(row[cols[y]]) for y in y_cols),
+        )
+        for row in rows
+        for label, label_col, x_col, y_cols in series
+    ]
     series_rows.sort(key=lambda t: (t[0], t[1]))
     write_result(out, [("subcommand", "plot-data"), ("source_columns", " ".join(header))],
                  ["series", "x", "y", "y_lo", "y_hi"], series_rows)

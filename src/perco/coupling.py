@@ -40,6 +40,11 @@ class CoupledPair:
         self.retained.flags.writeable = False
 
 
+def retention_uniforms(cloud: PointCloud, seed: int) -> np.ndarray:
+    """The thinning draw of each point: at ratio q, thin_pair retains exactly the points below q."""
+    return point_uniforms(mix(seed, "thin"), cloud.ids)
+
+
 def thin_pair(window: Window, lam_low: float, lam_high: float, seed: int) -> CoupledPair:
     """Sample the high-intensity cloud and retain each point independently.
 
@@ -56,8 +61,7 @@ def thin_pair(window: Window, lam_low: float, lam_high: float, seed: int) -> Cou
         ratio = 0.0
     else:
         ratio = lam_low / lam_high
-    u = point_uniforms(mix(seed, "thin"), high.ids)
-    retained = u < ratio
+    retained = retention_uniforms(high, seed) < ratio
     low = replace(high.subset(retained), intensity=lam_low)
     return CoupledPair(
         window=window, lam_low=lam_low, lam_high=lam_high, high=high, retained=retained, low=low

@@ -3,9 +3,10 @@
 Replicates are independent: each gets a fresh point cloud and fresh edge
 randomness derived from (master seed, replicate index), so results do not
 depend on the execution schedule.  ``run_replicates`` is the one replicate
-loop: it derives every replicate seed and returns the per-replicate event
-indicators as an (n, k) bool array in replicate-index order; ``fold`` turns
-its columns into Wilson estimates.  Every Monte Carlo check goes through the
+loop: it derives every replicate seed and returns what each replicate
+computes (event indicators, or a threshold) as an (n, k) array in
+replicate-index order; ``fold`` turns indicator columns into Wilson
+estimates.  Every Monte Carlo check goes through the
 pair, which makes multi-threaded runs byte-identical to single-threaded ones.
 
 The Campbell-formula routines compute expected edge counts as deterministic
@@ -92,8 +93,9 @@ def replicate_seed(seed: int, index: int) -> int:
 def run_replicates(fn, n: int, seed: int, threads: int = 1) -> np.ndarray:
     """Evaluate fn(replicate_seed(seed, i)) for i = 0..n-1, in index order.
 
-    fn returns one bool or a tuple of k bools; the result is the (n, k) bool
-    array of those indicators, one row per replicate.
+    fn returns one value or a tuple of k values; the result is the (n, k)
+    array of those values, one row per replicate: event indicators give a
+    bool array, per-replicate thresholds a float one.
     """
     if n < 1:
         raise ConfigurationError("need at least one replicate")
@@ -103,7 +105,7 @@ def run_replicates(fn, n: int, seed: int, threads: int = 1) -> np.ndarray:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(fn, seeds))
-    return np.array(rows, dtype=bool).reshape(n, -1)
+    return np.array(rows).reshape(n, -1)
 
 
 def fold(indicators: np.ndarray, confidence: float = DEFAULT_CONFIDENCE) -> list[Estimate]:

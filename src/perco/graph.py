@@ -208,10 +208,13 @@ def _sweep_blocks(cloud: PointCloud, cutoff: float, budget: int):
     reach2 = (cutoff * (1.0 + _RANGE_PAD)) ** 2
     i0 = 0
     while i0 < n - 1:
-        rows = max(1, min(n - 1 - i0, _CHUNK // max(1, n - 1 - i0)))
-        i1 = i0 + rows
-        ii = np.repeat(np.arange(i0, i1), n - 1 - np.arange(i0, i1))
-        jj = np.concatenate([np.arange(i + 1, n) for i in range(i0, i1)])
+        i1 = i0 + max(1, min(n - 1 - i0, _CHUNK // max(1, n - 1 - i0)))
+        rows = np.arange(i0, i1)
+        counts = n - 1 - rows
+        ii = np.repeat(rows, counts)
+        # row i's pairs sit at block offsets s_i .. s_i + counts_i - 1 with
+        # s_i = cumsum(counts)_i - counts_i, and the pair at offset k has j = i + 1 + k - s_i
+        jj = np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - rows - 1, counts)
         if math.isfinite(cutoff):
             diff = pos[ii] - pos[jj]
             near = np.sum(diff * diff, axis=1) <= reach2

@@ -10,8 +10,12 @@ is the diagnostic.
 
 The bracket routine bisects the intensity against a crossing-probability
 threshold.  All intensities are realized by thinning the same master clouds,
-so the empirical crossing frequency is exactly nondecreasing in the intensity
-and bisection is sound.
+sampled at the largest intensity, so the empirical crossing frequency is
+exactly nondecreasing in the intensity and bisection is sound.  Each
+replicate's master graph is built once and reduced to its exact crossing
+threshold: the thinned graph at intensity lam crosses iff that threshold is
+below lam / lam_max.  Every bisection step is then a count over the
+thresholds, with no resampling and no rebuild.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import thin_pair
+from .coupling import retention_uniforms
 from .errors import ConfigurationError, ContractError, InternalConsistencyError
 from .estimators import Estimate, fold, replicate_seed, run_replicates, sample_event_graph
 from .events import (
-    crossing_event, crossing_spec, local_crossing_event, renorm_long_edge_event, renorm_long_edge_spec,
+    crossing_event, crossing_spec, crossing_threshold, local_crossing_event, renorm_long_edge_event,
+    renorm_long_edge_spec,
 )
-from .graph import build_graph
 from .models import ModelSpec
 from .ppp import unit_ball_volume
 
@@ -194,6 +198,27 @@ def default_probe_scale(model: ModelSpec, lam_max: float, budget: int = BRACKET_
     return (budget / (lam_max * unit_ball_volume(d))) ** (1.0 / d) / window_factor
 
 
+def crossing_thresholds(
+    model: ModelSpec, lam_max: float, r_probe: float, n: int, seed: int, threads: int = 1
+) -> np.ndarray:
+    """Each replicate's crossing threshold at r_probe, as a float array of length n.
+
+    Replicate i samples its master cloud at lam_max and builds its graph once.
+    Thinned to intensity lam by ``coupling.thin_pair``, the same replicate
+    crosses iff its threshold is below lam / lam_max; inf means no thinning
+    crosses.
+    """
+    if model.variant == "generalized":
+        raise ContractError("a thinned context-dependent graph is not the induced subgraph of its master graph")
+    window = crossing_spec(r_probe).window(model.d)
+
+    def threshold(rep_seed: int) -> float:
+        graph = sample_event_graph(model, lam_max, window, rep_seed)
+        return crossing_threshold(graph, r_probe, retention_uniforms(graph.cloud, rep_seed))
+
+    return run_replicates(threshold, n, seed, threads)[:, 0]
+
+
 def bracket_crossing_intensity(
     model: ModelSpec,
     lam_min: float,
@@ -209,9 +234,14 @@ def bracket_crossing_intensity(
 
     Every intensity is realized by thinning the same master clouds (sampled
     at lam_max), so per replicate the crossing indicator is nondecreasing in
-    the intensity and the empirical frequencies are exactly monotone; an
-    inversion indicates a seeding bug and raises.  Results are labeled as a
-    finite-scale proxy: the bracketed quantity depends on r_probe.
+    the intensity.  Each replicate samples and builds its master graph once
+    and reduces it to its crossing threshold (``events.crossing_threshold``
+    of its retention uniforms); the thinned graph at lam crosses iff the
+    threshold is below lam / lam_max, the strict comparison thin_pair makes.
+    Each visited intensity is then a count over the n thresholds.  The
+    empirical frequencies are exactly monotone; an inversion indicates a
+    seeding bug and raises.  Results are labeled as a finite-scale proxy:
+    the bracketed quantity depends on r_probe.
     """
     if model.variant == "generalized":
         raise ContractError("bisection needs intensity-monotone crossing probabilities")
@@ -221,17 +251,11 @@ def bracket_crossing_intensity(
         raise ConfigurationError("threshold must be in (0, 1)")
     if r_probe is None:
         r_probe = default_probe_scale(model, lam_max)
-    event = crossing_spec(r_probe)
-    window = event.window(model.d)
-
+    thresholds = crossing_thresholds(model, lam_max, r_probe, n, seed, threads)
     evaluations = []
 
     def estimate_at(lam: float) -> Estimate:
-        def one(rep_seed: int) -> bool:
-            pair = thin_pair(window, lam, lam_max, rep_seed)
-            return event.evaluate(build_graph(pair.low, model, seed=rep_seed))
-
-        est = fold(run_replicates(one, n, seed, threads))[0]
+        est = fold(thresholds[:, None] < lam / lam_max)[0]
         for prev_lam, prev_est in evaluations:
             if (prev_lam < lam and prev_est.hits > est.hits) or (
                 prev_lam > lam and prev_est.hits < est.hits

@@ -11,6 +11,9 @@ from collections import deque
 import numpy as np
 from scipy import integrate
 
+from perco.coupling import thin_pair
+from perco.events import crossing_spec
+from perco.graph import build_graph
 from perco.models import connection_prob_ctx, pairwise_prob
 from perco.ppp import MarkedPoint
 from perco.rng import pair_uniforms
@@ -154,3 +157,18 @@ def radial_integral_quad(fn, d, lower, support, breakpoints=()):
         val, _ = integrate.quad(lambda rho: rho ** (d - 1) * fn(rho), a, b, epsabs=1e-13, epsrel=1e-10, limit=200)
         total += val
     return total
+
+
+def bracket_hits_by_rebuild(model, r_probe, lam, lam_max, rep_seeds):
+    """Crossing indicator at r_probe of each replicate thinned to ``lam``, from a rebuilt graph.
+
+    The bisection loop before per-replicate thresholds: every replicate
+    resamples its lam_max cloud, thins it to lam and builds the thinned graph.
+    """
+    event = crossing_spec(r_probe)
+    window = event.window(model.d)
+    hits = []
+    for rep_seed in rep_seeds:
+        pair = thin_pair(window, lam, lam_max, rep_seed)
+        hits.append(event.evaluate(build_graph(pair.low, model, seed=rep_seed)))
+    return np.array(hits, dtype=bool)

@@ -339,6 +339,18 @@ class TestCliErrors:
         val.write_text("# generated now\nsymmetric,monotone\ntrue,true\n")
         assert cli.main(["plot-data", str(val), "--out", str(tmp_path / "s.csv")]) == 2
         assert "no plottable series" in capsys.readouterr().err
+        # the subcommand line, not the columns, picks the series
+        val.write_text("# generated now\n# subcommand = validate-model\nsymmetric,monotone\ntrue,true\n")
+        assert cli.main(["plot-data", str(val), "--out", str(tmp_path / "s.csv")]) == 2
+        assert "no plottable series in a validate-model result" in capsys.readouterr().err
+        unnamed = tmp_path / "unnamed.csv"
+        unnamed.write_text("intensity,event,p_hat,ci_low,ci_high\n1,crossing,0.5,0.4,0.6\n")
+        assert cli.main(["plot-data", str(unnamed), "--out", str(tmp_path / "s.csv")]) == 2
+        assert "no '# subcommand = ...' line" in capsys.readouterr().err
+        short = tmp_path / "short.csv"
+        short.write_text("# subcommand = estimate\nintensity,event,p_hat\n1,crossing,0.5\n")
+        assert cli.main(["plot-data", str(short), "--out", str(tmp_path / "s.csv")]) == 2
+        assert "needs column(s) ci_high, ci_low" in capsys.readouterr().err
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("r,p_hat,ci_low,ci_high,expected_long_edges\n1,0.5,0.4\n")
         assert cli.main(["plot-data", str(ragged), "--out", str(tmp_path / "s.csv")]) == 2
@@ -348,12 +360,37 @@ class TestCliErrors:
 
     def test_plot_data_empty_table_emits_header_only(self, tmp_path):
         src = tmp_path / "empty.csv"
-        src.write_text("r,p_hat,ci_low,ci_high,expected_long_edges\n")
+        src.write_text("# subcommand = probe-h\nr,p_hat,ci_low,ci_high,expected_long_edges\n")
         out = str(tmp_path / "series.csv")
         assert cli.main(["plot-data", str(src), "--out", out]) == 0
         header, rows = read_rows(out)
         assert header == ["series", "x", "y", "y_lo", "y_hi"]
         assert rows == []
+
+
+# each plottable subcommand's x column and the series labels its plot data carries
+PLOT_SERIES = {
+    "estimate": ("intensity", {"crossing"}),
+    "probe-h": ("r", {"long_edge"}),
+    "check-lemma1": ("ball_radius", {"small", "large"}),
+    "check-lemma2": ("intensity", {"low", "high"}),
+    "mixing-cov": ("separation", {"covariance"}),
+    "renorm-table": ("r", {"big_cross", "local_cross", "cross", "long_edge"}),
+    "bracket-lambda": ("intensity", {"crossing"}),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(PLOT_SERIES))
+def test_plot_data_series_follow_the_subcommand_line(tmp_path, subcommand):
+    out, series_out = str(tmp_path / "result.csv"), str(tmp_path / "series.csv")
+    assert cli.main([subcommand, write_config(tmp_path, DETERMINISM_CONFIGS[subcommand]), "--out", out]) == 0
+    assert cli.main(["plot-data", out, "--out", series_out]) == 0
+    header, rows = read_rows(out)
+    _, series_rows = read_rows(series_out)
+    x_col, labels = PLOT_SERIES[subcommand]
+    assert {row[0] for row in series_rows} == labels
+    assert {float(row[1]) for row in series_rows} == {float(row[header.index(x_col)]) for row in rows}
+    assert len(series_rows) == len(rows) * (4 if subcommand == "renorm-table" else 1)
 
 
 # the run.* keys each subcommand reads; every other run.* key is rejected at its line

@@ -1,13 +1,19 @@
 """Event semantics: constructed instances, coverage guards, exact inclusions."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perco.coupling import induced_edges
 from perco.errors import ConfigurationError, WindowCoverageError
 from perco.events import (
     EventSpec,
     crossing_event,
     crossing_spec,
+    crossing_threshold,
     local_crossing_event,
     local_crossing_spec,
     long_edge_event,
@@ -15,7 +21,7 @@ from perco.events import (
     renorm_long_edge_event,
     renorm_long_edge_spec,
 )
-from perco.graph import build_graph
+from perco.graph import GeomGraph, ball_region, build_graph, complement_region, connected_regions
 from perco.models import RadiusLaw, boolean_model, catalog
 from perco.ppp import PointCloud, ball_window, sample_ppp
 
@@ -137,6 +143,13 @@ def test_window_coverage_errors():
     snug = build_graph(make_cloud([[0.0, 0.0]], radius=1.0), model, seed=0)
     with pytest.raises(WindowCoverageError):
         crossing_event(snug, r=0.5)
+    # the threshold routine raises the crossing event's errors, word for word
+    for r in (0.6, 0.5):
+        with pytest.raises(WindowCoverageError) as event_error:
+            crossing_event(small, r=r)
+        with pytest.raises(WindowCoverageError) as threshold_error:
+            crossing_threshold(small, r, np.full(1, 0.5))
+        assert str(threshold_error.value) == str(event_error.value)
 
 
 def test_empty_graph_events_false():
@@ -148,6 +161,42 @@ def test_empty_graph_events_false():
     assert not crossing_event(graph, 1.0)
     assert not local_crossing_event(graph, 1.0)
     assert not renorm_long_edge_event(graph, 1.0)
+    assert crossing_threshold(graph, 1.0, np.empty(0)) == math.inf
+
+
+# crossing at r = 1 in a window of radius 2.05; the radii include both region boundaries
+_THRESHOLD_RADII = (0.0, 0.5, 1.0, 1.5, 2.0, 2.03)
+
+
+@st.composite
+def _weighted_graphs(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    radii = draw(st.lists(st.sampled_from(_THRESHOLD_RADII), min_size=n, max_size=n))
+    angles = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=n, max_size=n))
+    positions = np.array([[r * math.cos(a), r * math.sin(a)] for r, a in zip(radii, angles)]).reshape(n, 2)
+    # few distinct weights, so ties are common
+    weight = st.one_of(st.sampled_from((0.25, 0.5, 0.75)), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)), dtype=float)
+    pairs = [] if n < 2 else draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    edges = np.array(sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j}), dtype=np.int64).reshape(-1, 2)
+    graph = GeomGraph(cloud=make_cloud(positions, radius=2.05), seed=0, edges=edges)
+    return graph, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weighted_graphs())
+def test_crossing_threshold_equals_least_crossing_level(case):
+    graph, weights = case
+    inner, outer = ball_region(np.zeros(2), 1.0), complement_region(np.zeros(2), 2.0)
+    expected = math.inf
+    for w in sorted(set(weights.tolist())):
+        # the subgraph induced by {u < w'} for every w' in (w, next weight]
+        keep = weights < np.nextafter(w, math.inf)
+        sub = GeomGraph(cloud=graph.cloud.subset(keep), seed=0, edges=induced_edges(graph, keep))
+        if connected_regions(sub, inner, outer):
+            expected = w
+            break
+    assert crossing_threshold(graph, 1.0, weights) == expected
 
 
 def test_bounded_range_never_long():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import reference
+from perco import graph
 from perco.errors import ConfigurationError, ResourceError
 from perco.events import crossing_event, long_edge_event
 from perco.graph import (
@@ -348,6 +349,33 @@ def test_edge_probability_calibration_by_distance_bin():
         mean_p = probs[sel].mean()
         sigma = math.sqrt(np.sum(probs[sel] * (1 - probs[sel]))) / sel.sum()
         assert abs(realized[sel].mean() - mean_p) <= 3 * sigma + 1e-12, b
+
+
+def _sweep_blocks_by_rows(n, chunk):
+    """The exact sweep's row blocks, one arange per row."""
+    i0 = 0
+    while i0 < n - 1:
+        i1 = i0 + max(1, min(n - 1 - i0, chunk // max(1, n - 1 - i0)))
+        ii = np.repeat(np.arange(i0, i1), n - 1 - np.arange(i0, i1))
+        jj = np.concatenate([np.arange(i + 1, n) for i in range(i0, i1)])
+        yield ii, jj
+        i0 = i1
+
+
+# the default block size holds every sweep below in one block; the smaller ones split it
+@pytest.mark.parametrize("chunk", [graph._CHUNK, 40, 200])
+def test_sweep_pair_indices_equal_row_construction(monkeypatch, chunk):
+    monkeypatch.setattr(graph, "_CHUNK", chunk)
+    for n in (0, 1, 2, 25, 160):
+        cloud = PointCloud(
+            window=ball_window(1.0, d=2), intensity=1.0, positions=np.zeros((n, 2)), marks=np.full(n, 0.5), seed=0
+        )
+        blocks = list(graph._sweep_blocks(cloud, math.inf, n * n))
+        expected = list(_sweep_blocks_by_rows(n, chunk))
+        assert len(blocks) == len(expected)
+        for (ii, jj), (want_i, want_j) in zip(blocks, expected):
+            assert ii.dtype == want_i.dtype and jj.dtype == want_j.dtype
+            assert np.array_equal(ii, want_i) and np.array_equal(jj, want_j)
 
 
 def test_pair_budget_resource_error():

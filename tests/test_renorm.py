@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import reference
 from perco.errors import ConfigurationError, ContractError
+from perco.estimators import replicate_seed
 from perco.models import (
     Kernel,
     RadiusLaw,
@@ -15,6 +17,7 @@ from perco.models import (
 )
 from perco.renorm import (
     bracket_crossing_intensity,
+    crossing_thresholds,
     default_probe_scale,
     fitted_constant,
     renorm_table,
@@ -140,3 +143,56 @@ def test_bracket_validation_and_default_scale():
     # window at that scale holds about the budgeted number of points
     expected_points = 2.0 * np.pi * (2.05 * scale) ** 2
     assert expected_points == pytest.approx(100_000, rel=1e-6)
+
+
+def test_thresholds_reject_generalized_models():
+    with pytest.raises(ContractError):
+        crossing_thresholds(demo_generalized(d=2), lam_max=1.0, r_probe=1.0, n=10, seed=0)
+
+
+@pytest.mark.parametrize("name", ["boolean-fixed", "product-indicator", "plain-poly"])
+def test_thresholds_match_rebuilt_thinned_graphs(name):
+    model = catalog(d=2)[name]
+    lam_max, r_probe, n = 3.0, 1.5, 30
+    for seed in (2, 3):
+        thresholds = crossing_thresholds(model, lam_max, r_probe, n, seed)
+        for threads in (2, 3):
+            assert np.array_equal(crossing_thresholds(model, lam_max, r_probe, n, seed, threads), thresholds)
+        rep_seeds = [replicate_seed(seed, i) for i in range(n)]
+        result = bracket_crossing_intensity(model, 0.1, lam_max, r_probe=r_probe, n=n, seed=seed, k_max=4)
+        assert len(result.evaluations) >= 3
+        for lam, est in result.evaluations:
+            hits = reference.bracket_hits_by_rebuild(model, r_probe, lam, lam_max, rep_seeds)
+            assert np.array_equal(hits, thresholds < lam / lam_max)
+            assert est.hits == hits.sum()
+        # at t* * lam_max, where the comparison must stay strict, next to it, and
+        # clearly on either side of it
+        finite = np.flatnonzero(np.isfinite(thresholds))[:4]
+        assert finite.size
+        for i in finite:
+            at = thresholds[i] * lam_max
+            below, above = at * (1 - 1e-9), min(lam_max, at * (1 + 1e-9))
+            lams = [at, np.nextafter(at, 0.0), np.nextafter(at, np.inf), below, above]
+            lams = [lam for lam in lams if lam <= lam_max]
+            for lam in lams:
+                (hit,) = reference.bracket_hits_by_rebuild(model, r_probe, lam, lam_max, [rep_seeds[i]])
+                assert hit == (thresholds[i] < lam / lam_max)
+            assert not reference.bracket_hits_by_rebuild(model, r_probe, below, lam_max, [rep_seeds[i]])[0]
+            assert reference.bracket_hits_by_rebuild(model, r_probe, above, lam_max, [rep_seeds[i]])[0]
+
+
+def test_bracket_comparison_is_strict_at_a_threshold():
+    # With lam_max = 2 and lam_min = 4 t* - 2, the first bisection midpoint is
+    # exactly t* * lam_max and its ratio exactly t*: a thinned graph there
+    # keeps no vertex with weight t*, so replicate 0 must not cross.
+    model = catalog(d=2)["product-indicator"]
+    lam_max, r_probe = 2.0, 1.5
+    seed = next(s for s in range(100) if 0.5 <= crossing_thresholds(model, lam_max, r_probe, 1, s)[0] < 1.0)
+    t = crossing_thresholds(model, lam_max, r_probe, 1, seed)[0]
+    result = bracket_crossing_intensity(model, 4 * t - 2, lam_max, r_probe=r_probe, n=1, seed=seed)
+    lams = [lam for lam, _ in result.evaluations]
+    assert lams[2] == t * lam_max and lams[2] / lam_max == t
+    for lam, est in result.evaluations:
+        (hit,) = reference.bracket_hits_by_rebuild(model, r_probe, lam, lam_max, [replicate_seed(seed, 0)])
+        assert est.hits == hit
+    assert result.evaluations[2][1].hits == 0
