@@ -198,14 +198,16 @@ def _slope_fit(r_values, estimates):
     ys = [math.log(e.p_hat) for e in estimates if e.hits > 0]
     if len(xs) < 2 or len(set(xs)) < 2:
         return math.nan, (math.nan, math.nan)
+    if len(set(ys)) == 1:
+        # a flat trend; the fit below would leave the rounding of the mean as a slope and interval
+        return 0.0, (math.nan, math.nan)
     if len(xs) == 2:
         slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
         return slope, (math.nan, math.nan)
     # least squares by linregress's closed form, operation for operation
     ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
     slope = ssxym / ssxm
-    # ssym == 0 (every log p_hat equals their mean) forces ssxym == 0: no correlation
-    r = math.nan if ssym == 0 else np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
     df = len(xs) - 2
     stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
     tcrit = special.stdtrit(df, 0.975)

@@ -13,6 +13,8 @@ Events at scale r:
 ``crossing_threshold`` reduces a graph whose vertices carry retention
 uniforms to the level at which the crossing first holds on the retained
 vertices, so one build answers the crossing at every thinning of its cloud.
+It runs the same union-find as the crossing events, with the uniforms as
+vertex weights.
 
 Windows are balls with an additive safety margin; evaluating an event on a
 graph whose window is too small raises WindowCoverageError rather than
@@ -29,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, WindowCoverageError
-from .graph import GeomGraph, ball_region, complement_region, connected_regions, connected_regions_restricted
+from .graph import (
+    GeomGraph,
+    _meeting_level,
+    ball_region,
+    complement_region,
+    connected_regions,
+    connected_regions_restricted,
+)
 from .ppp import Window, ball_window, unit_ball_volume
 
 WINDOW_MARGIN = 0.05
@@ -173,37 +182,17 @@ def crossing_threshold(graph: GeomGraph, r: float, weights: np.ndarray) -> float
     Vertex i carries ``weights[i]``.  The crossing event holds on the subgraph
     induced by {i : weights[i] < s} exactly when the result is below s: the
     result is the bottleneck, over paths from B(0,r) to outside B(0,2r), of
-    the largest weight on the path (Pollack 1960).  Edges are merged in order
-    of the larger endpoint weight, with each region's vertices in one
-    super-node, until the two super-nodes meet (Newman & Ziff 2000).  It is
-    inf when no path exists.  The window checks are those of crossing_event.
+    the largest weight on the path (Pollack 1960), found by the union-find that
+    decides every crossing (``graph._meeting_level``).  It is inf when no path
+    exists.  The window checks are those of crossing_event.
     """
     _require_ball(graph, None, 2.0 * r, "crossing event")
     _require_exterior(graph, 2.0 * r, "crossing event")
-    n = graph.n_vertices
-    if graph.n_edges == 0:
-        return math.inf
     origin = np.zeros(graph.cloud.dimension)
-    node = np.arange(n)
-    node[ball_region(origin, r).contains(graph.cloud.positions)] = n
-    node[complement_region(origin, 2.0 * r).contains(graph.cloud.positions)] = n + 1
-    e = graph.edges
-    w = np.maximum(weights[e[:, 0]], weights[e[:, 1]])
-    order = np.argsort(w)  # how ties are ordered cannot change the level at which the regions meet
-    parent = list(range(n + 2))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for a, b, level in zip(node[e[order, 0]].tolist(), node[e[order, 1]].tolist(), w[order].tolist()):
-        a, b = root(a), root(b)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-            if root(n) == root(n + 1):
-                return level
-    return math.inf
+    pos = graph.cloud.positions
+    in_a = ball_region(origin, r).contains(pos)
+    in_b = complement_region(origin, 2.0 * r).contains(pos)
+    return _meeting_level(graph.n_vertices, graph.edges, in_a, in_b, weights)
 
 
 def local_crossing_event(graph: GeomGraph, r: float, center=None) -> bool:

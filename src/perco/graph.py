@@ -27,18 +27,17 @@ pair connects with positive probability and is decided by its own keyed
 uniform, so no exact sampler can skip a pair without evaluating it.  Both
 paths are deterministic and thread-schedule independent.
 
-Component labels are computed from the edge array on first use, by numpy
-hooking and pointer jumping (no sparse matrix is built), so events that read
-only edges never pay for them.  Labels number components by their smallest
-vertex: vertex 0 is in component 0, the lowest vertex outside it starts
-component 1, and so on.
+Connectivity has one routine, ``_meeting_level``: a union-find over the edge
+array, in order of edge level, with each endpoint set collapsed into one
+super-node (Newman & Ziff, PRL 85, 2000).  It answers both plain region
+connectivity and the bottleneck level over vertex weights that
+``events.crossing_threshold`` needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -90,42 +89,9 @@ def complement_region(center, radius: float) -> Region:
     return Region(kind="ball_complement", center=center, radius=radius)
 
 
-def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
-    """Connected-component label of each of n vertices, given (m, 2) edges.
-
-    Every round hooks each tree root to the smallest root across its edges,
-    then pointer-jumps until each vertex points at its root.  Parents only
-    ever decrease, so each root is its component's smallest vertex; the label
-    is that vertex's rank among the roots.
-    """
-    parent = np.arange(n)
-    if edges.shape[0] == 0:
-        return parent
-    i, j = edges[:, 0], edges[:, 1]
-    while True:
-        pi, pj = parent[i], parent[j]
-        split = pi != pj
-        if not split.any():
-            break
-        pi, pj = pi[split], pj[split]
-        np.minimum.at(parent, np.maximum(pi, pj), np.minimum(pi, pj))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-    is_root = parent == np.arange(n)
-    return (np.cumsum(is_root) - 1)[parent]
-
-
 @dataclass(frozen=True)
 class GeomGraph:
-    """Immutable graph on a cloud: its edges, and component labels on demand.
-
-    ``component_labels`` is computed from ``edges`` with numpy alone (no
-    scipy.sparse matrix) the first time it is read, then cached and
-    read-only; components are numbered in the order of their smallest vertex.
-    """
+    """Immutable graph on a cloud: the points and the sorted, read-only edge array."""
 
     cloud: PointCloud
     seed: int
@@ -133,12 +99,6 @@ class GeomGraph:
 
     def __post_init__(self):
         self.edges.flags.writeable = False
-
-    @cached_property
-    def component_labels(self) -> np.ndarray:
-        labels = _component_labels(self.n_vertices, self.edges)
-        labels.flags.writeable = False
-        return labels
 
     @property
     def n_vertices(self) -> int:
@@ -328,23 +288,50 @@ def build_graph(
     return _finalize_graph(cloud, seed, ii, jj)
 
 
-def _share_component(labels: np.ndarray, in_a: np.ndarray, in_b: np.ndarray) -> bool:
-    """Whether some label occurs both on the in_a vertices and on the in_b vertices."""
-    seen = np.zeros(labels.size, dtype=bool)  # labels lie in [0, n)
-    seen[labels[in_a]] = True
-    return bool(seen[labels[in_b]].any())
+def _meeting_level(n: int, edges: np.ndarray, in_a: np.ndarray, in_b: np.ndarray, weights=None) -> float:
+    """Least edge level at which an in_a vertex and an in_b vertex share a component; inf if never.
+
+    An edge's level is the larger weight of its two endpoints (0 without
+    ``weights``); a vertex in both sets meets at its own weight.  Edges are
+    merged in order of level, with each set collapsed into one super-node, so
+    the result is the bottleneck, over paths from in_a to in_b, of the largest
+    weight on the path (Pollack, Oper. Res. 8, 1960).  The super-nodes are
+    vertices 0 and 1, the others are shifted by 2; a union points the larger
+    root at the smaller, so 0 and 1 stay roots until the edge that joins them.
+    """
+    if not (in_a.any() and in_b.any()):
+        return math.inf
+    w = np.zeros(n) if weights is None else np.asarray(weights, dtype=float)
+    both = in_a & in_b
+    best = float(w[both].min()) if both.any() else math.inf
+    levels = np.maximum(w[edges[:, 0]], w[edges[:, 1]])
+    order = np.argsort(levels)  # how ties are ordered cannot change the result
+    order = order[levels[order] < best]
+    node = np.arange(2, n + 2)
+    node[in_a] = 0
+    node[in_b] = 1
+    parent = list(range(n + 2))
+    # the loop runs on Python ints with the root search inlined, which keeps it fast
+    for k, (a, b) in enumerate(zip(*node[edges.take(order, axis=0)].T.tolist())):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a + b == 1:
+            return float(levels[order[k]])
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    return best
 
 
 def connected_regions(graph: GeomGraph, region_a: Region, region_b: Region) -> bool:
     """Whether some component holds a vertex in each region."""
     pos = graph.cloud.positions
-    if graph.n_vertices == 0:
-        return False
     in_a = region_a.contains(pos)
     in_b = region_b.contains(pos)
-    if not (in_a.any() and in_b.any()):
-        return False
-    return _share_component(graph.component_labels, in_a, in_b)
+    return _meeting_level(graph.n_vertices, graph.edges, in_a, in_b) < math.inf
 
 
 def connected_regions_restricted(
@@ -352,22 +339,17 @@ def connected_regions_restricted(
 ) -> bool:
     """Whether a path from region_a to region_b exists using only vertices in ``through``.
 
-    Labels the components of the graph that keeps only edges with both
-    endpoints in ``through``; vertices outside it are then isolated.
+    Only edges with both endpoints in ``through`` count; vertices outside it
+    are then isolated and belong to neither region.
     """
     pos = graph.cloud.positions
-    if graph.n_vertices == 0:
-        return False
     in_s = through.contains(pos)
-    if not in_s.any():
-        return False
     in_a = region_a.contains(pos) & in_s
     in_b = region_b.contains(pos) & in_s
-    if not (in_a.any() and in_b.any()):
+    if not (in_a.any() and in_b.any()):  # common on small windows; skips the edge filter
         return False
     e = graph.edges
-    labels = _component_labels(graph.n_vertices, e[in_s[e[:, 0]] & in_s[e[:, 1]]])
-    return _share_component(labels, in_a, in_b)
+    return _meeting_level(graph.n_vertices, e[in_s[e[:, 0]] & in_s[e[:, 1]]], in_a, in_b) < math.inf
 
 
 def dump_graph(graph: GeomGraph, stream) -> None:

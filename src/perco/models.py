@@ -315,6 +315,13 @@ def generalized_model(base: ModelSpec, damping_radius: float = 1.0, damping_fact
     )
 
 
+def _kernel_value(model: ModelSpec, marks_a, marks_b) -> np.ndarray:
+    """Kernel value g(W_a, W_b) of a classical model, in the broadcast shape of the two mark arrays."""
+    if not model.kernel.uses_weights:
+        return np.ones(np.broadcast(marks_a, marks_b).shape)
+    return np.asarray(model.kernel(weight_from_mark(marks_a, model.tau), weight_from_mark(marks_b, model.tau)))
+
+
 def pairwise_prob(model: ModelSpec, marks_a, marks_b, dists):
     """Vectorized two-point connection probability (boolean/classical only).
 
@@ -330,12 +337,7 @@ def pairwise_prob(model: ModelSpec, marks_a, marks_b, dists):
         law = model.radius_law
         out = np.where(dists < law.radii(marks_a) + law.radii(marks_b), 1.0, 0.0)
         return float(out) if out.ndim == 0 else out
-    if model.kernel.uses_weights:
-        g = model.kernel(weight_from_mark(marks_a, model.tau), weight_from_mark(marks_b, model.tau))
-    else:
-        g = 1.0
-    out = model.profile(g * dists**model.d / model.beta)
-    return out
+    return model.profile(_kernel_value(model, marks_a, marks_b) * dists**model.d / model.beta)
 
 
 def connection_prob(model: ModelSpec, a: MarkedPoint, b: MarkedPoint) -> float:
@@ -383,12 +385,9 @@ def pair_range(model: ModelSpec, marks_a, marks_b):
         law = model.radius_law
         out = np.asarray(law.radii(marks_a) + law.radii(marks_b))
     else:
-        if model.kernel.uses_weights:
-            g = model.kernel(weight_from_mark(marks_a, model.tau), weight_from_mark(marks_b, model.tau))
-        else:
-            g = np.ones(np.broadcast(marks_a, marks_b).shape)
+        g = _kernel_value(model, marks_a, marks_b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (model.profile.support * model.beta / np.asarray(g)) ** (1.0 / model.d)
+            out = (model.profile.support * model.beta / g) ** (1.0 / model.d)
         # g underflows to 0 only for weights beyond float range: 0/0 is an all-zero profile
         out = np.nan_to_num(out, nan=0.0, posinf=math.inf)
     return float(out) if out.ndim == 0 else out

@@ -36,42 +36,6 @@ def naive_edges(cloud, model, seed):
     return sorted(edges)
 
 
-def bfs_components(n, edges):
-    """Component labels by plain breadth-first search over an adjacency list."""
-    adj = {i: [] for i in range(n)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    labels = [-1] * n
-    current = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        queue = deque([start])
-        labels[start] = current
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if labels[w] == -1:
-                    labels[w] = current
-                    queue.append(w)
-        current += 1
-    return labels
-
-
-def same_partition(labels_a, labels_b) -> bool:
-    """Whether two labelings induce the same partition of the vertex set."""
-    seen = {}
-    for a, b in zip(labels_a, labels_b):
-        if a in seen:
-            if seen[a] != b:
-                return False
-        else:
-            seen[a] = b
-    values = list(seen.values())
-    return len(values) == len(set(values))
-
-
 def bfs_path_exists(n, edges, sources, targets, allowed):
     """Whether a path from sources to targets exists within the allowed set."""
     allowed = set(allowed)

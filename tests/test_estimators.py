@@ -173,16 +173,17 @@ def test_slope_fit_matches_linregress_bitwise(fit):
     kind, r_values, hits, trials = fit
     estimates = [make_estimate(h, trials) for h in hits]
     slope, (lo, hi) = _slope_fit(r_values, estimates)
-    want_slope, (want_lo, want_hi) = _slope_fit_scipy_stats(r_values, estimates)
-    assert [_bits(v) for v in (slope, lo, hi)] == [_bits(v) for v in (want_slope, want_lo, want_hi)]
+    nonzero = [h for h in hits if h > 0]
+    if len(nonzero) >= 2 and len(set(nonzero)) == 1:
+        # every nonzero p_hat is equal: exactly flat, with no interval, where
+        # linregress leaves the rounding of the mean as a tiny slope and interval
+        assert [_bits(v) for v in (slope, lo, hi)] == [_bits(0.0), "nan", "nan"]
+    else:
+        assert kind != "equal"
+        want_slope, (want_lo, want_hi) = _slope_fit_scipy_stats(r_values, estimates)
+        assert [_bits(v) for v in (slope, lo, hi)] == [_bits(v) for v in (want_slope, want_lo, want_hi)]
     if kind == "two-point":
         assert math.isnan(lo) and math.isnan(hi) and not math.isnan(slope)
-    elif kind == "equal":
-        # the CI is nan when the mean of the equal log p_hat is exact;
-        # otherwise rounding leaves a narrow interval around 0, wider the
-        # closer the scales
-        assert abs(slope) < 1e-12
-        assert math.isnan(lo) or hi - lo < 1e-9
     elif kind == "collinear":
         # r rounds to within an ulp or two of 1 (or is clipped to it), and
         # the square root in the stderr turns that into an interval ~1e-7 wide

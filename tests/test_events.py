@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perco.coupling import induced_edges
+import reference
 from perco.errors import ConfigurationError, WindowCoverageError
 from perco.events import (
     EventSpec,
@@ -21,7 +21,7 @@ from perco.events import (
     renorm_long_edge_event,
     renorm_long_edge_spec,
 )
-from perco.graph import GeomGraph, ball_region, build_graph, complement_region, connected_regions
+from perco.graph import GeomGraph, ball_region, build_graph, complement_region
 from perco.models import RadiusLaw, boolean_model, catalog
 from perco.ppp import PointCloud, ball_window, sample_ppp
 
@@ -187,13 +187,14 @@ def _weighted_graphs(draw, max_n=12):
 @given(_weighted_graphs())
 def test_crossing_threshold_equals_least_crossing_level(case):
     graph, weights = case
-    inner, outer = ball_region(np.zeros(2), 1.0), complement_region(np.zeros(2), 2.0)
+    pos = graph.cloud.positions
+    inner = np.flatnonzero(ball_region(np.zeros(2), 1.0).contains(pos)).tolist()
+    outer = np.flatnonzero(complement_region(np.zeros(2), 2.0).contains(pos)).tolist()
     expected = math.inf
     for w in sorted(set(weights.tolist())):
-        # the subgraph induced by {u < w'} for every w' in (w, next weight]
-        keep = weights < np.nextafter(w, math.inf)
-        sub = GeomGraph(cloud=graph.cloud.subset(keep), seed=0, edges=induced_edges(graph, keep))
-        if connected_regions(sub, inner, outer):
+        # a path within the subgraph induced by {u < w'} for every w' in (w, next weight]
+        keep = np.flatnonzero(weights < np.nextafter(w, math.inf)).tolist()
+        if reference.bfs_path_exists(graph.n_vertices, graph.edges.tolist(), inner, outer, keep):
             expected = w
             break
     assert crossing_threshold(graph, 1.0, weights) == expected

@@ -10,7 +10,6 @@ from scipy import integrate
 import reference
 from perco import graph
 from perco.errors import ConfigurationError, ResourceError
-from perco.events import crossing_event, long_edge_event
 from perco.graph import (
     GeomGraph,
     ball_region,
@@ -49,7 +48,6 @@ def test_empty_and_zero_probability():
     cloud2 = sample_ppp(w, 2.0, seed=3)
     g2 = build_graph(cloud2, dead, seed=4)
     assert g2.n_edges == 0
-    assert np.array_equal(np.unique(g2.component_labels), np.arange(len(cloud2)))
 
 
 def test_two_point_deterministic_edge():
@@ -95,9 +93,6 @@ def test_determinism_and_method_equivalence():
         # 0/1 probabilities make these graphs seed-independent by design
         g4 = build_graph(cloud, model, seed=8, method="exact")
         assert np.array_equal(g1.edges, g4.edges)
-        assert reference.same_partition(
-            g1.component_labels.tolist(), reference.bfs_components(len(cloud), g1.edges.tolist())
-        )
     # the mark-layered search finds the exact sweep's edges, long ones included
     for name, model in _layered_models(2).items():
         g1 = build_graph(cloud, model, seed=7, method="exact")
@@ -239,27 +234,20 @@ def _edge_lists(draw, max_n=40):
     return n, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_edge_lists())
-def test_component_labels_equal_bfs_labels(case):
-    n, edge_list = case
-    g = _graph_from_edges(np.zeros((n, 2)), edge_list)
-    assert g.component_labels.tolist() == reference.bfs_components(n, g.edges.tolist())
-    assert not g.component_labels.flags.writeable
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3000), st.integers(0, 2**32 - 1))
-def test_component_labels_shuffled_long_path(n, seed):
-    # a path visiting the vertices in random order needs many hook rounds
-    # and long pointer-jump chains
+def test_connected_regions_shuffled_long_path(n, seed):
+    # a path visiting the vertices in random order builds long parent chains;
+    # its two ends are the only vertices off the origin
     order = np.random.default_rng(seed).permutation(n).tolist()
     path = list(zip(order[:-1], order[1:]))
-    g = _graph_from_edges(np.zeros((n, 2)), path)
-    assert g.component_labels.tolist() == [0] * n
-    # cut in two halves: labels still follow the smallest vertex
-    cut = _graph_from_edges(np.zeros((n, 2)), path[: n // 2] + path[n // 2 + 1 :])
-    assert cut.component_labels.tolist() == reference.bfs_components(n, cut.edges.tolist())
+    positions = np.zeros((n, 2))
+    positions[order[0]] = [-1.0, 0.0]
+    positions[order[-1]] = [1.0, 0.0]
+    a, b = ball_region([-1.0, 0.0], 0.5), ball_region([1.0, 0.0], 0.5)
+    assert connected_regions(_graph_from_edges(positions, path), a, b) == (n > 1)
+    cut = (n - 1) // 2
+    assert not connected_regions(_graph_from_edges(positions, path[:cut] + path[cut + 1 :]), a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -280,29 +268,62 @@ def test_restricted_crossing_equals_induced_subgraph_bfs(case, seed):
         np.flatnonzero(s.contains(pos)).tolist(),
     )
     assert connected_regions_restricted(g, a, b, s) == expected
+    assert connected_regions(g, a, b) == reference.bfs_path_exists(
+        n,
+        g.edges.tolist(),
+        np.flatnonzero(a.contains(pos)).tolist(),
+        np.flatnonzero(b.contains(pos)).tolist(),
+        range(n),
+    )
 
 
-def test_component_labels_are_lazy():
-    cloud = sample_ppp(ball_window(2.5, d=2), 2.0, seed=31)
-    g = build_graph(cloud, catalog(2)["plain-indicator"], seed=31)
-    long_edge_event(g, 1.0, 1.0)
-    assert "component_labels" not in g.__dict__
-    crossing_event(g, 1.0)
-    assert "component_labels" in g.__dict__
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists(max_n=12), st.integers(0, 2**32 - 1))
+def test_meeting_level_equals_least_bfs_level(case, seed):
+    # overlapping endpoint sets and tied weights; the level is the least
+    # weight w at which the vertices weighted at most w join the two sets
+    n, edge_list = case
+    gen = np.random.default_rng(seed)
+    g = _graph_from_edges(np.zeros((n, 2)), edge_list)
+    weights = gen.choice([0.25, 0.5, 0.75, gen.uniform()], size=n)
+    in_a, in_b = gen.uniform(size=n) < 0.3, gen.uniform(size=n) < 0.3
+    sources, targets = np.flatnonzero(in_a).tolist(), np.flatnonzero(in_b).tolist()
+    expected = math.inf
+    for w in sorted(set(weights.tolist())):
+        keep = np.flatnonzero(weights <= w).tolist()
+        if reference.bfs_path_exists(n, g.edges.tolist(), sources, targets, keep):
+            expected = w
+            break
+    assert graph._meeting_level(n, g.edges, in_a, in_b, weights) == expected
+    assert graph._meeting_level(n, g.edges, in_a, in_b) == (0.0 if expected < math.inf else math.inf)
 
 
 def test_components_match_bfs_many_graphs():
     gen = substream(2024, "sizes")
+    pick = substream(2024, "regions")  # its own stream, so the 25 graphs do not depend on the regions
+    outcomes = set()
     for rep in range(25):
         lam = float(gen.uniform(0.3, 2.0))
         cloud = sample_ppp(box_window([0, 0], [8, 8]), lam, seed=600 + rep)
         if len(cloud) > 500:
             cloud = cloud.subset(np.arange(500))
         g = build_graph(cloud, catalog(2)["plain-indicator"], seed=rep)
-        assert reference.same_partition(
-            g.component_labels.tolist(),
-            reference.bfs_components(g.n_vertices, g.edges.tolist()),
-        )
+        pos = cloud.positions
+        for _ in range(4):
+            a = ball_region(pick.uniform(0.0, 8.0, size=2), pick.uniform(0.3, 2.0))
+            b = (ball_region if pick.uniform() < 0.5 else complement_region)(
+                pick.uniform(0.0, 8.0, size=2), pick.uniform(0.3, 5.0)
+            )
+            expected = reference.bfs_path_exists(
+                g.n_vertices,
+                g.edges.tolist(),
+                np.flatnonzero(a.contains(pos)).tolist(),
+                np.flatnonzero(b.contains(pos)).tolist(),
+                range(g.n_vertices),
+            )
+            assert connected_regions(g, a, b) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_edge_count_calibration_campbell():
