@@ -6,10 +6,15 @@ probability.  Because the variate depends on inherited point ids rather than
 array order, a thinned sub-cloud reproduces exactly the induced subgraph of
 its parent (see the coupling module).
 
-Two candidate enumerations feed the same pair screen, so they produce
-identical edge sets:
+Two paths apply the same pair rule (``pairwise_prob`` against
+``pair_uniforms``), so they produce identical edge sets:
 
-* ``"exact"``: a blocked O(n^2) sweep over all pairs.
+* ``"exact"``: an O(n^2) sweep over all pairs in row tiles.  Rows i0:i1
+  meet columns i0:n; distances, marks and ids broadcast over the tile, so
+  nothing is gathered per pair, and entries at or below the diagonal are
+  dropped after the screen.  There is no distance prefilter: beyond a
+  finite connection range the probability is exactly 0 and every uniform
+  is positive.
 * ``"grid"``: a mark-layered kd-tree search, the layered sampling of
   geometric inhomogeneous random graphs (Bringmann, Keusch & Lengler, TCS
   760, 2019).  Points go into dyadic mark classes, one kd-tree each; every
@@ -19,6 +24,9 @@ identical edge sets:
   mark.  A mark-independent range uses a single class.  The search only
   enumerates candidates; the keyed uniforms decide each edge, so sampling
   stays exact and thinning still gives induced subgraphs.
+
+A generalized model's damping factor is applied once per build, to the pairs
+that pass the base screen on either path (``_damped``).
 
 ``"auto"`` takes ``"grid"`` above 2000 points when every pair of marks has a
 finite range: boolean models (Pareto radii included) and indicator or custom
@@ -48,10 +56,14 @@ from .ppp import PointCloud
 from .rng import pair_uniforms
 
 DEFAULT_PAIR_BUDGET = 200_000_000
-_CHUNK = 2_000_000  # pair-array block size, bounds peak memory
-# candidate ranges are widened by this relative margin so that rounding at a
+_CHUNK = 2_000_000  # kd-tree candidate block size, bounds peak memory
+_TILE_ROWS = 32  # rows per tile of the exact sweep
+_MERGE_BLOCK = 256  # edges converted to Python ints at a time by _meeting_level
+# kd-tree ranges are widened by this relative margin so that rounding at a
 # tie never drops a pair; _screen_pairs decides every candidate exactly
 _RANGE_PAD = 1e-9
+# (i, j, u, p) of no pairs: the base screen's output when nothing passes
+_EMPTY_SCREEN = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
 
 
 @dataclass(frozen=True)
@@ -124,27 +136,29 @@ def _finalize_graph(cloud: PointCloud, seed: int, ii: np.ndarray, jj: np.ndarray
     return GeomGraph(cloud=cloud, seed=seed, edges=np.stack([ii[order], jj[order]], axis=1))
 
 
-def _screen_pairs(cloud, model, seed, ii, jj, context_tree):
-    """Resolve candidate pairs to kept edges; exact for every model variant."""
+def _damped(model: ModelSpec, pos: np.ndarray, ii, jj, u, probs):
+    """Which base-kept pairs (u < probs) survive the generalized damping factor.
+
+    Damping only lowers probabilities, so the base screen is a superset.
+    """
+    mids = 0.5 * (pos[ii] + pos[jj])
+    hits = cKDTree(mids).sparse_distance_matrix(cKDTree(pos), model.damping_radius, output_type="ndarray")
+    # the pair's own endpoints are dropped by index: recomputing the tree's
+    # distance test can round the other way at ties
+    own = (hits["j"] == ii[hits["i"]]) | (hits["j"] == jj[hits["i"]])
+    ctx = np.bincount(hits["i"][~own], minlength=ii.size)
+    return u < probs * model.damping_factor**ctx
+
+
+def _screen_pairs(cloud, model, seed, ii, jj):
+    """Candidate pairs that pass the base screen, with their uniforms and base probabilities."""
     pos = cloud.positions
     diff = pos[ii] - pos[jj]
     dists = np.sqrt(np.sum(diff * diff, axis=1))
     probs = np.asarray(pairwise_prob(model, cloud.marks[ii], cloud.marks[jj], dists))
     u = pair_uniforms(seed, cloud.ids[ii], cloud.ids[jj])
     keep = u < probs
-    if model.variant == "generalized" and np.any(keep):
-        # damping only lowers probabilities, so the base screen is a superset
-        ki, kj, ku = ii[keep], jj[keep], u[keep]
-        mids = 0.5 * (pos[ki] + pos[kj])
-        hits = cKDTree(mids).sparse_distance_matrix(context_tree, model.damping_radius, output_type="ndarray")
-        # the pair's own endpoints are dropped by index: recomputing the tree's
-        # distance test can round the other way at ties
-        own = (hits["j"] == ki[hits["i"]]) | (hits["j"] == kj[hits["i"]])
-        ctx = np.bincount(hits["i"][~own], minlength=ki.size)
-        damped = probs[keep] * model.damping_factor**ctx
-        final = ku < damped
-        return ki[final], kj[final]
-    return ii[keep], jj[keep]
+    return ii[keep], jj[keep], u[keep], probs[keep]
 
 
 def _bounded(model: ModelSpec) -> bool:
@@ -152,10 +166,31 @@ def _bounded(model: ModelSpec) -> bool:
     return math.isfinite(pair_range(model, 0.5, 0.5))
 
 
-def _sweep_blocks(cloud: PointCloud, cutoff: float, budget: int):
-    """Candidate pairs (i < j) of the exact sweep, in row blocks of about _CHUNK pairs.
+def _tile_squared_distances(coords: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Squared distances from points i0:i1 (rows) to points i0: (columns); ``coords`` is (d, n).
 
-    A finite ``cutoff`` prefilters each block by distance.
+    The coordinate terms are added in the order numpy's ``np.sum(diff * diff,
+    axis=1)`` adds them, so every entry is bit-identical to it: left to right
+    below 8 coordinates, pairwise at 8.
+    """
+    terms = []
+    for x in coords:
+        t = np.subtract.outer(x[i0:i1], x[i0:])
+        terms.append(np.multiply(t, t, out=t))
+    if len(terms) == 8:
+        return ((terms[0] + terms[1]) + (terms[2] + terms[3])) + ((terms[4] + terms[5]) + (terms[6] + terms[7]))
+    total = terms[0]
+    for t in terms[1:]:
+        total += t
+    return total
+
+
+def _sweep_tiles(cloud: PointCloud, model: ModelSpec, seed: int, budget: int):
+    """The exact sweep: pairs (i < j) that pass the base screen, one tile of _TILE_ROWS rows at a time.
+
+    Tile rows i0:i1 meet columns i0:n, so every pair i < j is in exactly one
+    tile.  Marks and ids enter per point and broadcast over the tile; the
+    entries at or below the diagonal are evaluated and then dropped.
     """
     n = len(cloud)
     total = n * (n - 1) // 2
@@ -164,23 +199,17 @@ def _sweep_blocks(cloud: PointCloud, cutoff: float, budget: int):
             f"exact pair sweep needs {total} pair evaluations, budget is {budget}; "
             "shrink the window, lower the intensity, or pass a larger pair_budget to build_graph"
         )
-    pos = cloud.positions
-    reach2 = (cutoff * (1.0 + _RANGE_PAD)) ** 2
-    i0 = 0
-    while i0 < n - 1:
-        i1 = i0 + max(1, min(n - 1 - i0, _CHUNK // max(1, n - 1 - i0)))
-        rows = np.arange(i0, i1)
-        counts = n - 1 - rows
-        ii = np.repeat(rows, counts)
-        # row i's pairs sit at block offsets s_i .. s_i + counts_i - 1 with
-        # s_i = cumsum(counts)_i - counts_i, and the pair at offset k has j = i + 1 + k - s_i
-        jj = np.arange(ii.size) - np.repeat(np.cumsum(counts) - counts - rows - 1, counts)
-        if math.isfinite(cutoff):
-            diff = pos[ii] - pos[jj]
-            near = np.sum(diff * diff, axis=1) <= reach2
-            ii, jj = ii[near], jj[near]
-        yield ii, jj
-        i0 = i1
+    coords = np.ascontiguousarray(cloud.positions.T)
+    marks, ids = cloud.marks, cloud.ids
+    for i0 in range(0, n - 1, _TILE_ROWS):
+        i1 = min(i0 + _TILE_ROWS, n)
+        dists = np.sqrt(_tile_squared_distances(coords, i0, i1))
+        probs = pairwise_prob(model, marks[i0:i1, None], marks[None, i0:], dists)
+        u = pair_uniforms(seed, ids[i0:i1, None], ids[None, i0:])
+        r, c = np.nonzero(u < probs)
+        upper = c > r
+        r, c = r[upper], c[upper]
+        yield r + i0, c + i0, u[r, c], probs[r, c]
 
 
 def _layered_blocks(cloud: PointCloud, model: ModelSpec, cutoff: float, budget: int):
@@ -247,7 +276,8 @@ def build_graph(
 ) -> GeomGraph:
     """Build the connection graph; deterministic given (cloud, model, seed).
 
-    method "exact" sweeps all pairs.  "grid" enumerates kd-tree candidates
+    method "exact" screens all pairs, _TILE_ROWS rows of the upper triangle
+    at a time, with no distance prefilter.  "grid" enumerates kd-tree candidates
     within each pair of mark classes' connection range; it needs a finite
     range for every pair of marks (boolean models, indicator and custom
     profiles).  "auto" takes "grid" for such models above 2000 points and
@@ -267,24 +297,17 @@ def build_graph(
             "grid enumeration requires a finite connection range for every pair of marks"
         )
 
-    cutoff = max_range(model)
     if method == "exact":
-        blocks = _sweep_blocks(cloud, cutoff, budget)
+        screened = _sweep_tiles(cloud, model, seed, budget)
     else:
-        blocks = _layered_blocks(cloud, model, cutoff, budget)
-    context_tree = None
-    if model.variant == "generalized" and n:
-        context_tree = cKDTree(cloud.positions)
-
-    kept_i: list[np.ndarray] = []
-    kept_j: list[np.ndarray] = []
-    for ii, jj in blocks:
-        if ii.size:
-            ki, kj = _screen_pairs(cloud, model, seed, ii, jj, context_tree)
-            kept_i.append(ki)
-            kept_j.append(kj)
-    ii = np.concatenate(kept_i) if kept_i else np.empty(0, dtype=np.int64)
-    jj = np.concatenate(kept_j) if kept_j else np.empty(0, dtype=np.int64)
+        screened = (
+            _screen_pairs(cloud, model, seed, ii, jj)
+            for ii, jj in _layered_blocks(cloud, model, max_range(model), budget)
+        )
+    ii, jj, u, probs = (np.concatenate(parts) for parts in zip(_EMPTY_SCREEN, *screened))
+    if model.variant == "generalized" and ii.size:
+        keep = _damped(model, cloud.positions, ii, jj, u, probs)
+        ii, jj = ii[keep], jj[keep]
     return _finalize_graph(cloud, seed, ii, jj)
 
 
@@ -301,28 +324,39 @@ def _meeting_level(n: int, edges: np.ndarray, in_a: np.ndarray, in_b: np.ndarray
     """
     if not (in_a.any() and in_b.any()):
         return math.inf
-    w = np.zeros(n) if weights is None else np.asarray(weights, dtype=float)
     both = in_a & in_b
-    best = float(w[both].min()) if both.any() else math.inf
-    levels = np.maximum(w[edges[:, 0]], w[edges[:, 1]])
-    order = np.argsort(levels)  # how ties are ordered cannot change the result
-    order = order[levels[order] < best]
+    if weights is None:
+        if both.any():
+            return 0.0
+        best, levels = math.inf, None  # every edge has level 0, so their order is free
+    else:
+        w = np.asarray(weights, dtype=float)
+        best = float(w[both].min()) if both.any() else math.inf
+        levels = np.maximum(w[edges[:, 0]], w[edges[:, 1]])
+        order = np.argsort(levels)  # how ties are ordered cannot change the result
+        levels = levels[order]
+        below = levels < best
+        edges, levels = edges[order[below]], levels[below]
     node = np.arange(2, n + 2)
     node[in_a] = 0
     node[in_b] = 1
     parent = list(range(n + 2))
-    # the loop runs on Python ints with the root search inlined, which keeps it fast
-    for k, (a, b) in enumerate(zip(*node[edges.take(order, axis=0)].T.tolist())):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a + b == 1:
-            return float(levels[order[k]])
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
+    # the loop runs on Python ints with the root search inlined, which keeps it
+    # fast; the edges are converted a block at a time because most crossings
+    # are decided after a small share of them
+    for k0 in range(0, edges.shape[0], _MERGE_BLOCK):
+        ends = node[edges[k0 : k0 + _MERGE_BLOCK]].T.tolist()
+        for k, (a, b) in enumerate(zip(*ends), k0):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a + b == 1:
+                return 0.0 if levels is None else float(levels[k])
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
     return best
 
 

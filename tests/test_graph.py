@@ -372,31 +372,66 @@ def test_edge_probability_calibration_by_distance_bin():
         assert abs(realized[sel].mean() - mean_p) <= 3 * sigma + 1e-12, b
 
 
-def _sweep_blocks_by_rows(n, chunk):
-    """The exact sweep's row blocks, one arange per row."""
-    i0 = 0
-    while i0 < n - 1:
-        i1 = i0 + max(1, min(n - 1 - i0, chunk // max(1, n - 1 - i0)))
-        ii = np.repeat(np.arange(i0, i1), n - 1 - np.arange(i0, i1))
-        jj = np.concatenate([np.arange(i + 1, n) for i in range(i0, i1)])
-        yield ii, jj
-        i0 = i1
+def _tile_case_models(d: int) -> list:
+    """One model per kernel of the exact sweep's screen, plus a boolean and a generalized one."""
+    return [
+        catalog(d)["boolean-fixed"],
+        classical_model(d, Kernel("plain"), polynomial_profile(2.5)),
+        classical_model(d, Kernel("product"), indicator_profile(1.5), tau=2.5),
+        classical_model(d, Kernel("sum"), polynomial_profile(2.5), tau=2.5),
+        generalized_model(
+            classical_model(d, Kernel("plain"), indicator_profile(2.0)), damping_radius=0.6, damping_factor=0.5
+        ),
+    ]
 
 
-# the default block size holds every sweep below in one block; the smaller ones split it
-@pytest.mark.parametrize("chunk", [graph._CHUNK, 40, 200])
-def test_sweep_pair_indices_equal_row_construction(monkeypatch, chunk):
-    monkeypatch.setattr(graph, "_CHUNK", chunk)
-    for n in (0, 1, 2, 25, 160):
-        cloud = PointCloud(
-            window=ball_window(1.0, d=2), intensity=1.0, positions=np.zeros((n, 2)), marks=np.full(n, 0.5), seed=0
-        )
-        blocks = list(graph._sweep_blocks(cloud, math.inf, n * n))
-        expected = list(_sweep_blocks_by_rows(n, chunk))
-        assert len(blocks) == len(expected)
-        for (ii, jj), (want_i, want_j) in zip(blocks, expected):
-            assert ii.dtype == want_i.dtype and jj.dtype == want_j.dtype
-            assert np.array_equal(ii, want_i) and np.array_equal(jj, want_j)
+@st.composite
+def _tile_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    model = draw(st.sampled_from(_tile_case_models(d)))
+    n = draw(st.integers(0, 40))
+    side = draw(st.sampled_from([1.0, 3.0]))
+    coord = st.floats(0.0, side, allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+    marks = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=n, max_size=n))
+    # ids out of index order: a tile orders its pairs by index, pair_uniforms by id
+    ids = draw(st.permutations(range(3 * n)))[:n]
+    cloud = PointCloud(
+        window=box_window([0.0] * d, [side] * d),
+        intensity=1.0,
+        positions=np.array(rows, dtype=float).reshape(n, d),
+        marks=np.array(marks, dtype=float),
+        seed=0,
+        ids=np.array(ids, dtype=np.uint64),
+    )
+    return model, cloud, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_tile_cases())
+def test_exact_sweep_independent_of_tile_rows(case):
+    model, cloud, seed = case
+    built = []
+    for rows in (1, 3, graph._TILE_ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_TILE_ROWS", rows)
+            built.append(build_graph(cloud, model, seed=seed, method="exact").edges)
+    assert all(np.array_equal(built[0], e) for e in built[1:])
+    assert list(map(tuple, built[0].tolist())) == reference.naive_edges(cloud, model, seed)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_tile_squared_distances_bitwise_equal_row_sums(d):
+    gen = substream(11, "tile-distances", d)
+    n, i0, i1 = 90, 7, 40
+    # coordinates spread over many binades, so that the summation order shows in the last bits
+    positions = gen.normal(size=(n, d)) * np.exp(gen.uniform(-8.0, 8.0, size=(n, d)))
+    tile = graph._tile_squared_distances(np.ascontiguousarray(positions.T), i0, i1)
+    ii, jj = np.divmod(np.arange((i1 - i0) * (n - i0)), n - i0)
+    diff = positions[ii + i0] - positions[jj + i0]
+    want = np.sum(diff * diff, axis=1)
+    assert tile.shape == (i1 - i0, n - i0)
+    assert np.array_equal(tile.reshape(-1).view(np.uint64), want.view(np.uint64))
 
 
 def test_pair_budget_resource_error():
