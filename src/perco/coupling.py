@@ -17,12 +17,12 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .events import long_edge_spec
-from .graph import GeomGraph, build_graph
+from .graph import GeomGraph, build_graphs
 from .models import ModelSpec
 from .ppp import PointCloud, Window, sample_ppp
 from .rng import mix, point_uniforms
 
-from .estimators import Estimate, fold, run_replicates
+from .estimators import Estimate, fold, run_replicates, sample_groups
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,19 @@ def coupled_graphs(pair: CoupledPair, model: ModelSpec, seed: int):
     the high graph induced by the retained points -- exactly, because both
     builds draw the same uniform for any pair of inherited ids.
     """
+    (low_graph,), (high_graph,) = _coupled_blocks([pair], model, [seed])
+    return low_graph, high_graph
+
+
+def _coupled_blocks(pairs: list, model: ModelSpec, seeds: list):
+    """The low and the high graphs of each coupled pair, all built together; coupled_graphs is the one-pair case."""
     if model.variant == "generalized":
         raise ContractError(
             "coupling is only exact when edge probabilities ignore the surrounding "
             "configuration; context-dependent models are not supported"
         )
-    low_graph = build_graph(pair.low, model, seed=seed)
-    high_graph = build_graph(pair.high, model, seed=seed)
-    return low_graph, high_graph
+    graphs = build_graphs([p.low for p in pairs] + [p.high for p in pairs], model, seeds + seeds)
+    return graphs[: len(pairs)], graphs[len(pairs) :]
 
 
 def induced_edges(high_graph: GeomGraph, retained: np.ndarray) -> np.ndarray:
@@ -150,14 +155,19 @@ def check_thinning_bounds(
     event = long_edge_spec(r, 1.0)
     window = event.window(model.d)
 
-    def one(rep_seed: int):
-        pair = thin_pair(window, lam_low, lam_high, rep_seed)
-        low_graph, high_graph = coupled_graphs(pair, model, rep_seed)
-        # a low-only hit would contradict the induced-subgraph construction;
-        # it is counted, not raised, so full runs report every violation
-        return event.evaluate(low_graph), event.evaluate(high_graph)
+    def pair(rep_seed: int) -> CoupledPair:
+        return thin_pair(window, lam_low, lam_high, rep_seed)
 
-    rows = run_replicates(one, n, seed, threads)
+    def block(seeds):
+        rows = []
+        for group, pairs in sample_groups(pair, seeds, points=lambda p: len(p.high) + len(p.low)):
+            low_graphs, high_graphs = _coupled_blocks(pairs, model, group)
+            # a low-only hit would contradict the induced-subgraph construction;
+            # it is counted, not raised, so full runs report every violation
+            rows.append(np.stack([event.evaluate_many(low_graphs), event.evaluate_many(high_graphs)], axis=1))
+        return np.concatenate(rows)
+
+    rows = run_replicates(block, n, seed, threads)
     low_est, high_est = fold(rows)
     exact_violations = int(np.sum(rows[:, 0] & ~rows[:, 1]))
     ratio_sq = (lam_low / lam_high) ** 2

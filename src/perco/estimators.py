@@ -3,11 +3,16 @@
 Replicates are independent: each gets a fresh point cloud and fresh edge
 randomness derived from (master seed, replicate index), so results do not
 depend on the execution schedule.  ``run_replicates`` is the one replicate
-loop: it derives every replicate seed and returns what each replicate
-computes (event indicators, or a threshold) as an (n, k) array in
-replicate-index order; ``fold`` turns indicator columns into Wilson
-estimates.  Every Monte Carlo check goes through the
-pair, which makes multi-threaded runs byte-identical to single-threaded ones.
+loop: it derives every replicate seed, hands the seeds to the check in fixed
+blocks of ``_BLOCK``, and returns what each replicate computes (event
+indicators, or a threshold) as an (n, k) array in replicate-index order;
+``fold`` turns indicator columns into Wilson estimates.  Every Monte Carlo
+check goes through the pair, which makes multi-threaded runs byte-identical
+to single-threaded ones.  A block samples its clouds one replicate at a time,
+each on its own key, then builds them with one shared screen
+(``graph.build_graphs``) and evaluates each event once over them
+(``EventSpec.evaluate_many``), in groups of about ``_GROUP_POINTS`` points
+(``sample_groups``) so that memory stays bounded for large clouds.
 
 The Campbell-formula routines compute expected edge counts as deterministic
 integrals against intensity^2; they power calibration tests, the Markov
@@ -31,17 +36,10 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigurationError, ContractError
-from .events import (
-    EventSpec,
-    WINDOW_MARGIN,
-    local_crossing_spec,
-    long_edge_spec,
-    long_edge_ends,
-    long_edge_within,
-)
-from .graph import GeomGraph, build_graph
+from .events import EventSpec, local_crossing_spec, long_edge_ends, long_edge_spec, long_edge_window, long_edge_within
+from .graph import GeomGraph, build_graph, build_graphs
 from .models import ModelSpec, mark_averaged_connection, max_range, phibar_breakpoints
-from .ppp import Window, ball_window, sample_ppp, sphere_surface, unit_ball_volume
+from .ppp import Window, sample_ppp, sphere_surface, unit_ball_volume
 from .quadrature import DIVERGENT, INCONCLUSIVE, lens_volume, radial_integral, set_covariance_radial
 from .rng import mix
 
@@ -49,6 +47,14 @@ DEFAULT_CONFIDENCE = 0.95
 PERSISTENT_FLOOR = 0.05
 VANISHING_FACTOR = 4.0
 MIN_COV_TRIALS = 1000
+# replicates per block: a block shares one graph screen and one pass per event;
+# the boundaries depend only on n, never on the thread count
+_BLOCK = 64
+# a block is sampled, built and evaluated in groups that close once they hold this
+# many points: a whole block of clouds small enough to share a screen (at most
+# graph._TILE_ROWS points each) is one group, while a block of large clouds is held
+# in memory a few replicates at a time
+_GROUP_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -91,21 +97,25 @@ def replicate_seed(seed: int, index: int) -> int:
 
 
 def run_replicates(fn, n: int, seed: int, threads: int = 1) -> np.ndarray:
-    """Evaluate fn(replicate_seed(seed, i)) for i = 0..n-1, in index order.
+    """Evaluate replicates 0..n-1 in blocks: fn(seeds) on consecutive blocks of _BLOCK replicate seeds.
 
-    fn returns one value or a tuple of k values; the result is the (n, k)
-    array of those values, one row per replicate: event indicators give a
-    bool array, per-replicate thresholds a float one.
+    ``seeds`` lists replicate_seed(seed, i) for the block's indices i.  fn
+    returns an array of one row per seed, with one value or k values in a
+    row; the result is the (n, k) array of the rows in replicate-index order:
+    event indicators give a bool array, per-replicate thresholds a float one.
+    With ``threads`` > 1 the blocks run on a thread pool; the blocks, and so
+    the result, are the same at every thread count.
     """
     if n < 1:
         raise ConfigurationError("need at least one replicate")
     seeds = [replicate_seed(seed, i) for i in range(n)]
+    blocks = [seeds[k : k + _BLOCK] for k in range(0, n, _BLOCK)]
     if threads <= 1:
-        rows = [fn(s) for s in seeds]
+        rows = [fn(block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(fn, seeds))
-    return np.array(rows).reshape(n, -1)
+            rows = list(pool.map(fn, blocks))
+    return np.concatenate([np.asarray(r).reshape(len(block), -1) for r, block in zip(rows, blocks)])
 
 
 def fold(indicators: np.ndarray, confidence: float = DEFAULT_CONFIDENCE) -> list[Estimate]:
@@ -114,9 +124,40 @@ def fold(indicators: np.ndarray, confidence: float = DEFAULT_CONFIDENCE) -> list
     return [make_estimate(int(hits), trials, confidence) for hits in np.count_nonzero(indicators, axis=0)]
 
 
+def sample_groups(sample, rep_seeds, points=len):
+    """Sample each replicate on its own seed, ``sample(seed)``, in order; yield (seeds, samples) groups.
+
+    A group closes once its samples hold _GROUP_POINTS points, counted by
+    ``points(sample)``, so a block of large replicates holds a group or two
+    of samples, and what is built from them, at a time rather than all of
+    its replicates.
+    """
+    seeds, samples, total = [], [], 0
+    for s in rep_seeds:
+        seeds.append(s)
+        samples.append(sample(s))
+        total += points(samples[-1])
+        if total >= _GROUP_POINTS:
+            yield seeds, samples
+            seeds, samples, total = [], [], 0
+    if seeds:
+        yield seeds, samples
+
+
+def sample_event_graphs(model: ModelSpec, intensity: float, window: Window, rep_seeds):
+    """Yield (seeds, graphs) groups: each cloud sampled on its own key, each group built together."""
+    for seeds, clouds in sample_groups(lambda s: sample_ppp(intensity=intensity, window=window, seed=s), rep_seeds):
+        yield seeds, build_graphs(clouds, model, seeds)
+
+
 def sample_event_graph(model: ModelSpec, intensity: float, window: Window, rep_seed: int) -> GeomGraph:
     cloud = sample_ppp(intensity=intensity, window=window, seed=rep_seed)
     return build_graph(cloud, model, seed=rep_seed)
+
+
+def _event_rows(groups, specs) -> np.ndarray:
+    """Each event of ``specs`` on each graph of the (seeds, graphs) groups: one row per graph, one column per event."""
+    return np.concatenate([np.stack([spec.evaluate_many(graphs) for spec in specs], axis=1) for _, graphs in groups])
 
 
 def estimate_event(
@@ -133,10 +174,10 @@ def estimate_event(
     if window is None:
         window = event.window(model.d)
 
-    def one(rep_seed: int) -> bool:
-        return event.evaluate(sample_event_graph(model, intensity, window, rep_seed))
+    def block(seeds):
+        return _event_rows(sample_event_graphs(model, intensity, window, seeds), [event])
 
-    return fold(run_replicates(one, n, seed, threads), confidence)[0]
+    return fold(run_replicates(block, n, seed, threads), confidence)[0]
 
 
 @dataclass(frozen=True)
@@ -467,17 +508,21 @@ def check_covering_inequality(
     cover = covering_number(q, d)
     scaled_centers = cover.centers * r
     length = c_prime * r
-    window = ball_window((q + 1.0 + c_prime + WINDOW_MARGIN) * r, d=d)
+    # long edges with an endpoint in any covering ball, which reaches (q + 1) r from the origin
+    window = long_edge_window(q + 1.0, c_prime, r, d)
     origin = np.zeros(d)
 
-    def one(rep_seed: int):
-        ends = long_edge_ends(sample_event_graph(model, intensity, window, rep_seed), length)
+    def one(graph: GeomGraph):
+        ends = long_edge_ends(graph, length)
         lhs = long_edge_within(ends, origin, r)
         rhs = long_edge_within(ends, origin, q * r)
         covered = rhs and any(long_edge_within(ends, center, r, closed=True) for center in scaled_centers)
         return lhs, rhs, covered
 
-    rows = run_replicates(one, n, seed, threads)
+    def block(seeds):
+        return [one(graph) for _, graphs in sample_event_graphs(model, intensity, window, seeds) for graph in graphs]
+
+    rows = run_replicates(block, n, seed, threads)
     lhs_est, rhs_est = fold(rows[:, :2])
     violations = int(np.sum(rows[:, 1] & ~rows[:, 2]))
     stat_violated = cover.count * lhs_est.ci_high < rhs_est.ci_low
@@ -538,11 +583,10 @@ def estimate_mixing_cov(
     far_event = local_crossing_spec(r, center=x)
     window = far_event.window(model.d)
 
-    def one(rep_seed: int):
-        graph = sample_event_graph(model, intensity, window, rep_seed)
-        return near_event.evaluate(graph), far_event.evaluate(graph)
+    def block(seeds):
+        return _event_rows(sample_event_graphs(model, intensity, window, seeds), [near_event, far_event])
 
-    rows = run_replicates(one, n, seed, threads)
+    rows = run_replicates(block, n, seed, threads)
     near, far = fold(rows)
     a, b = rows.astype(float).T
     a_bar, b_bar = a.mean(), b.mean()

@@ -25,8 +25,15 @@ Two paths apply the same pair rule (``pairwise_prob`` against
   enumerates candidates; the keyed uniforms decide each edge, so sampling
   stays exact and thinning still gives induced subgraphs.
 
-A generalized model's damping factor is applied once per build, to the pairs
-that pass the base screen on either path (``_damped``).
+``build_graphs`` builds a block of clouds, each with its own seed, and
+``build_graph`` is its one-cloud case.  Two or more clouds on the exact path
+that fit in one tile (at most ``_TILE_ROWS`` points) share one screen: their
+within-cloud pairs are listed by index arithmetic over the concatenated
+points, and each pair keeps its own cloud's seed and ids, so every edge is
+the one a tile would give.  Larger clouds keep their own sweep or search.
+
+A generalized model's damping factor is applied once per cloud, to the pairs
+that pass the base screen on any path (``_damped``).
 
 ``"auto"`` takes ``"grid"`` above 2000 points when every pair of marks has a
 finite range: boolean models (Pareto radii included) and indicator or custom
@@ -53,7 +60,7 @@ from scipy.spatial import cKDTree
 from .errors import ConfigurationError, ResourceError
 from .models import ModelSpec, max_range, pair_range, pairwise_prob
 from .ppp import PointCloud
-from .rng import pair_uniforms
+from .rng import _MASK64, pair_uniforms
 
 DEFAULT_PAIR_BUDGET = 200_000_000
 _CHUNK = 2_000_000  # kd-tree candidate block size, bounds peak memory
@@ -128,14 +135,6 @@ class GeomGraph:
         return np.sqrt(np.sum(diff * diff, axis=1))
 
 
-def _finalize_graph(cloud: PointCloud, seed: int, ii: np.ndarray, jj: np.ndarray) -> GeomGraph:
-    ii = ii.astype(np.int64, copy=False)
-    jj = jj.astype(np.int64, copy=False)
-    # pairs are distinct with i < j < n, so i * n + j orders them lexicographically
-    order = np.argsort(ii * len(cloud) + jj)
-    return GeomGraph(cloud=cloud, seed=seed, edges=np.stack([ii[order], jj[order]], axis=1))
-
-
 def _damped(model: ModelSpec, pos: np.ndarray, ii, jj, u, probs):
     """Which base-kept pairs (u < probs) survive the generalized damping factor.
 
@@ -150,13 +149,15 @@ def _damped(model: ModelSpec, pos: np.ndarray, ii, jj, u, probs):
     return u < probs * model.damping_factor**ctx
 
 
-def _screen_pairs(cloud, model, seed, ii, jj):
-    """Candidate pairs that pass the base screen, with their uniforms and base probabilities."""
-    pos = cloud.positions
-    diff = pos[ii] - pos[jj]
-    dists = np.sqrt(np.sum(diff * diff, axis=1))
-    probs = np.asarray(pairwise_prob(model, cloud.marks[ii], cloud.marks[jj], dists))
-    u = pair_uniforms(seed, cloud.ids[ii], cloud.ids[jj])
+def _screen_pairs(coords, marks, ids, model, seed, ii, jj):
+    """Candidate pairs that pass the base screen, with their uniforms and base probabilities.
+
+    ``coords`` is (d, n); ``seed`` is one int, or an array holding each
+    pair's own seed.
+    """
+    dists = np.sqrt(_sum_squares([x[ii] - x[jj] for x in coords]))
+    probs = np.asarray(pairwise_prob(model, marks[ii], marks[jj], dists))
+    u = pair_uniforms(seed, ids[ii], ids[jj])
     keep = u < probs
     return ii[keep], jj[keep], u[keep], probs[keep]
 
@@ -166,23 +167,34 @@ def _bounded(model: ModelSpec) -> bool:
     return math.isfinite(pair_range(model, 0.5, 0.5))
 
 
-def _tile_squared_distances(coords: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Squared distances from points i0:i1 (rows) to points i0: (columns); ``coords`` is (d, n).
+def _sum_squares(diffs: list) -> np.ndarray:
+    """Squared distances from per-coordinate differences, each squared in place.
 
     The coordinate terms are added in the order numpy's ``np.sum(diff * diff,
     axis=1)`` adds them, so every entry is bit-identical to it: left to right
     below 8 coordinates, pairwise at 8.
     """
-    terms = []
-    for x in coords:
-        t = np.subtract.outer(x[i0:i1], x[i0:])
-        terms.append(np.multiply(t, t, out=t))
+    terms = [np.multiply(t, t, out=t) for t in diffs]
     if len(terms) == 8:
         return ((terms[0] + terms[1]) + (terms[2] + terms[3])) + ((terms[4] + terms[5]) + (terms[6] + terms[7]))
     total = terms[0]
     for t in terms[1:]:
         total += t
     return total
+
+
+def _tile_squared_distances(coords: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Squared distances from points i0:i1 (rows) to points i0: (columns); ``coords`` is (d, n)."""
+    return _sum_squares([np.subtract.outer(x[i0:i1], x[i0:]) for x in coords])
+
+
+def _check_pair_budget(n: int, budget: int) -> None:
+    total = n * (n - 1) // 2
+    if total > budget:
+        raise ResourceError(
+            f"exact pair sweep needs {total} pair evaluations, budget is {budget}; "
+            "shrink the window, lower the intensity, or pass a larger pair_budget to build_graph"
+        )
 
 
 def _sweep_tiles(cloud: PointCloud, model: ModelSpec, seed: int, budget: int):
@@ -193,12 +205,7 @@ def _sweep_tiles(cloud: PointCloud, model: ModelSpec, seed: int, budget: int):
     entries at or below the diagonal are evaluated and then dropped.
     """
     n = len(cloud)
-    total = n * (n - 1) // 2
-    if total > budget:
-        raise ResourceError(
-            f"exact pair sweep needs {total} pair evaluations, budget is {budget}; "
-            "shrink the window, lower the intensity, or pass a larger pair_budget to build_graph"
-        )
+    _check_pair_budget(n, budget)
     coords = np.ascontiguousarray(cloud.positions.T)
     marks, ids = cloud.marks, cloud.ids
     for i0 in range(0, n - 1, _TILE_ROWS):
@@ -267,6 +274,105 @@ def _layered_blocks(cloud: PointCloud, model: ModelSpec, cutoff: float, budget: 
             pending_i, pending_j, size = [], [], 0
 
 
+def _screen_shared(clouds: list, model: ModelSpec, seeds: list, budget: int) -> list:
+    """The exact screen of clouds that each fit in one tile, run once over all of them.
+
+    The clouds are concatenated and every within-cloud pair i < j is listed by
+    index arithmetic, row by row, so each cloud's kept pairs come out in
+    lexicographic order.  Every pair keeps its own cloud's seed and ids, and
+    ``_screen_pairs`` evaluates it exactly as a tile would.  Returns each
+    cloud's (edges, u, p), edges in its own indexing.
+    """
+    sizes = np.array([len(cloud) for cloud in clouds], dtype=np.int64)
+    for n in sizes.tolist():
+        _check_pair_budget(n, budget)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    owner = np.repeat(np.arange(len(clouds)), sizes)  # the cloud of each point
+    row = ends[owner] - np.arange(ends[-1]) - 1  # partners after each point in its cloud
+    ii = np.repeat(np.arange(ends[-1]), row)
+    row_start = np.cumsum(row) - row
+    jj = ii + 1 + np.arange(ii.size) - np.repeat(row_start, row)
+    cloud_seeds = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)  # mix's own reduction
+    pair_seeds = np.repeat(cloud_seeds, sizes * (sizes - 1) // 2)
+    coords = np.ascontiguousarray(np.concatenate([cloud.positions for cloud in clouds]).T)
+    marks = np.concatenate([cloud.marks for cloud in clouds])
+    ids = np.concatenate([cloud.ids for cloud in clouds])
+    ii, jj, u, probs = _screen_pairs(coords, marks, ids, model, pair_seeds, ii, jj)
+    cut = np.searchsorted(ii, ends).tolist()  # kept pairs stay grouped by cloud
+    edges = np.stack([ii, jj], axis=1) - starts[owner[ii]][:, None]
+    return [(edges[a:b], u[a:b], probs[a:b]) for a, b in zip([0, *cut[:-1]], cut)]
+
+
+def _screen_alone(cloud: PointCloud, model: ModelSpec, seed: int, method: str, budget: int):
+    """One cloud's base-screened (edges, u, p), the edges in lexicographic order.
+
+    The tile sweep yields its pairs in that order; the kd-tree candidates
+    are screened and then sorted.
+    """
+    if method == "exact":
+        screened = _sweep_tiles(cloud, model, seed, budget)
+    else:
+        coords = np.ascontiguousarray(cloud.positions.T)
+        screened = (
+            _screen_pairs(coords, cloud.marks, cloud.ids, model, seed, ii, jj)
+            for ii, jj in _layered_blocks(cloud, model, max_range(model), budget)
+        )
+    ii, jj, u, probs = (np.concatenate(parts) for parts in zip(_EMPTY_SCREEN, *screened))
+    if method != "exact":
+        # pairs are distinct with i < j < n, so i * n + j orders them lexicographically
+        order = np.argsort(ii * len(cloud) + jj)
+        ii, jj, u, probs = ii[order], jj[order], u[order], probs[order]
+    return np.stack([ii, jj], axis=1), u, probs
+
+
+def build_graphs(clouds, model: ModelSpec, seeds, method: str = "auto", pair_budget: int | None = None) -> list:
+    """Build the connection graph of each cloud with its own seed; one GeomGraph per cloud, in order.
+
+    Each graph is exactly ``build_graph(cloud, model, seed, method,
+    pair_budget)``.  Two or more clouds on the exact path that each fit in
+    one tile (at most _TILE_ROWS points) share one screen over their
+    within-cloud pairs, which spares small replicates the per-call cost of a
+    sweep each; other clouds keep their own tile sweep or kd-tree search.
+    Damping is applied per cloud, since another cloud's points are no
+    context.
+    """
+    if method not in ("auto", "exact", "grid"):
+        raise ConfigurationError(f"unknown build method {method!r}")
+    clouds, seeds = list(clouds), list(seeds)
+    if len(clouds) != len(seeds):
+        raise ConfigurationError("build_graphs needs one seed per cloud")
+    budget = DEFAULT_PAIR_BUDGET if pair_budget is None else int(pair_budget)
+    paths = [_build_path(cloud, model, method) for cloud in clouds]
+    # a lone small cloud is one tile, which costs less than listing its pairs
+    shared = [k for k, path in enumerate(paths) if path == "exact" and len(clouds[k]) <= _TILE_ROWS]
+    screens = {}
+    if len(shared) > 1:
+        together = _screen_shared([clouds[k] for k in shared], model, [seeds[k] for k in shared], budget)
+        screens = dict(zip(shared, together))
+    graphs = []
+    for k, (cloud, seed, path) in enumerate(zip(clouds, seeds, paths)):
+        # a cloud screened on its own is screened here, so its uniforms go as soon as its graph is built
+        edges, u, probs = screens.pop(k) if k in screens else _screen_alone(cloud, model, seed, path, budget)
+        if model.variant == "generalized" and edges.size:
+            edges = edges[_damped(model, cloud.positions, edges[:, 0], edges[:, 1], u, probs)]
+        graphs.append(GeomGraph(cloud=cloud, seed=seed, edges=edges))
+    return graphs
+
+
+def _build_path(cloud: PointCloud, model: ModelSpec, method: str) -> str:
+    """The build method a cloud takes, "exact" or "grid", after the checks on model and method."""
+    if model.d != cloud.dimension:
+        raise ConfigurationError("model dimension does not match cloud dimension")
+    if method == "auto":
+        method = "grid" if (len(cloud) > 2000 and _bounded(model)) else "exact"
+    elif method == "grid" and not _bounded(model):
+        raise ConfigurationError(
+            "grid enumeration requires a finite connection range for every pair of marks"
+        )
+    return method
+
+
 def build_graph(
     cloud: PointCloud,
     model: ModelSpec,
@@ -282,33 +388,9 @@ def build_graph(
     range for every pair of marks (boolean models, indicator and custom
     profiles).  "auto" takes "grid" for such models above 2000 points and
     "exact" otherwise.  Both paths give identical edge sets whenever "grid"
-    applies.
+    applies.  This is the one-cloud case of ``build_graphs``.
     """
-    if model.d != cloud.dimension:
-        raise ConfigurationError("model dimension does not match cloud dimension")
-    if method not in ("auto", "exact", "grid"):
-        raise ConfigurationError(f"unknown build method {method!r}")
-    budget = DEFAULT_PAIR_BUDGET if pair_budget is None else int(pair_budget)
-    n = len(cloud)
-    if method == "auto":
-        method = "grid" if (n > 2000 and _bounded(model)) else "exact"
-    elif method == "grid" and not _bounded(model):
-        raise ConfigurationError(
-            "grid enumeration requires a finite connection range for every pair of marks"
-        )
-
-    if method == "exact":
-        screened = _sweep_tiles(cloud, model, seed, budget)
-    else:
-        screened = (
-            _screen_pairs(cloud, model, seed, ii, jj)
-            for ii, jj in _layered_blocks(cloud, model, max_range(model), budget)
-        )
-    ii, jj, u, probs = (np.concatenate(parts) for parts in zip(_EMPTY_SCREEN, *screened))
-    if model.variant == "generalized" and ii.size:
-        keep = _damped(model, cloud.positions, ii, jj, u, probs)
-        ii, jj = ii[keep], jj[keep]
-    return _finalize_graph(cloud, seed, ii, jj)
+    return build_graphs([cloud], model, [seed], method, pair_budget)[0]
 
 
 def _meeting_level(n: int, edges: np.ndarray, in_a: np.ndarray, in_b: np.ndarray, weights=None) -> float:

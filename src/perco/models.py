@@ -89,8 +89,11 @@ class Profile:
         if self.kind == "indicator":
             out = np.where(t <= self.theta, 1.0, 0.0)
         elif self.kind == "polynomial":
-            with np.errstate(divide="ignore", over="ignore"):
-                out = np.where(t <= 0.0, 1.0, np.minimum(1.0, np.maximum(t, 1e-300) ** (-self.delta)))
+            # every t <= 0 is clamped to 1e-300, whose power is >= 1, so the min gives 1 there
+            out = np.maximum(t, 1e-300, out=np.empty_like(t))
+            with np.errstate(over="ignore"):
+                np.power(out, -self.delta, out=out)
+            np.minimum(out, 1.0, out=out)
         else:
             out = np.interp(t, self.knots, self.heights, left=self.heights[0], right=0.0)
             out = np.where(t > self.knots[-1], 0.0, out)
@@ -337,7 +340,14 @@ def pairwise_prob(model: ModelSpec, marks_a, marks_b, dists):
         law = model.radius_law
         out = np.where(dists < law.radii(marks_a) + law.radii(marks_b), 1.0, 0.0)
         return float(out) if out.ndim == 0 else out
-    return model.profile(_kernel_value(model, marks_a, marks_b) * dists**model.d / model.beta)
+    scaled = dists**model.d
+    if model.kernel.uses_weights:
+        scaled = _kernel_value(model, marks_a, marks_b) * scaled
+    else:  # g = 1 leaves the product unchanged, but not its broadcast shape
+        shape = np.broadcast_shapes(marks_a.shape, marks_b.shape, scaled.shape)
+        if scaled.shape != shape:
+            scaled = np.broadcast_to(scaled, shape)
+    return model.profile(scaled / model.beta)
 
 
 def connection_prob(model: ModelSpec, a: MarkedPoint, b: MarkedPoint) -> float:

@@ -26,11 +26,8 @@ import numpy as np
 
 from .coupling import retention_uniforms
 from .errors import ConfigurationError, ContractError, InternalConsistencyError
-from .estimators import Estimate, fold, replicate_seed, run_replicates, sample_event_graph
-from .events import (
-    crossing_event, crossing_spec, crossing_threshold, local_crossing_event, renorm_long_edge_event,
-    renorm_long_edge_spec,
-)
+from .estimators import Estimate, _event_rows, fold, replicate_seed, run_replicates, sample_event_graphs
+from .events import crossing_spec, crossing_threshold, local_crossing_spec, renorm_long_edge_spec
 from .models import ModelSpec
 from .ppp import unit_ball_volume
 
@@ -117,18 +114,14 @@ def renorm_table(
     rows = []
     violations = 0
     for j, r in enumerate(r_values):
-        window = renorm_long_edge_spec(r).window(model.d)  # also covers C(10r), G(r) and C(r)
+        f_event = renorm_long_edge_spec(r)
+        window = f_event.window(model.d)  # also covers C(10r), G(r) and C(r)
+        specs = (crossing_spec(10.0 * r), local_crossing_spec(r), crossing_spec(r), f_event)
 
-        def one(rep_seed: int):
-            graph = sample_event_graph(model, intensity, window, rep_seed)
-            return (
-                crossing_event(graph, 10.0 * r),
-                local_crossing_event(graph, r),
-                crossing_event(graph, r),
-                renorm_long_edge_event(graph, r),
-            )
+        def block(seeds):
+            return _event_rows(sample_event_graphs(model, intensity, window, seeds), specs)
 
-        outcomes = run_replicates(one, n, replicate_seed(seed, j), threads)
+        outcomes = run_replicates(block, n, replicate_seed(seed, j), threads)
         violations += int(np.sum(outcomes[:, 1] & ~outcomes[:, 2]))
         lhs_est, g_est, c_est, f_est = fold(outcomes)
         mixing = 0.0 if c_mix is None else c_mix * intensity * r ** -zeta
@@ -212,11 +205,14 @@ def crossing_thresholds(
         raise ContractError("a thinned context-dependent graph is not the induced subgraph of its master graph")
     window = crossing_spec(r_probe).window(model.d)
 
-    def threshold(rep_seed: int) -> float:
-        graph = sample_event_graph(model, lam_max, window, rep_seed)
-        return crossing_threshold(graph, r_probe, retention_uniforms(graph.cloud, rep_seed))
+    def thresholds(seeds):
+        return [
+            crossing_threshold(g, r_probe, retention_uniforms(g.cloud, s))
+            for group, graphs in sample_event_graphs(model, lam_max, window, seeds)
+            for s, g in zip(group, graphs)
+        ]
 
-    return run_replicates(threshold, n, seed, threads)[:, 0]
+    return run_replicates(thresholds, n, seed, threads)[:, 0]
 
 
 def bracket_crossing_intensity(

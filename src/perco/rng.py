@@ -21,18 +21,23 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _finalize(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer: full avalanche of a uint64 word."""
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-        x = x ^ (x >> np.uint64(31))
-    return x
+def _finalize(x: np.ndarray) -> None:
+    """splitmix64 finalizer, in place on a uint64 buffer: full avalanche of each word.
+
+    The caller owns ``x`` and silences overflow, which is the intended wrap.
+    """
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
 
 
-def _absorb(state: np.ndarray, word) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return _finalize((state + np.uint64(_GOLDEN)) ^ np.asarray(word, dtype=np.uint64))
+def _absorb(state: np.ndarray, word) -> None:
+    """Fold one word (or a broadcastable word array) into ``state`` in place."""
+    state += np.uint64(_GOLDEN)
+    state ^= word
+    _finalize(state)
 
 
 def _as_words(part) -> list[int]:
@@ -58,7 +63,7 @@ def mix(seed: int, *path) -> int:
 
     Path elements are integers or short string tags naming the purpose.
     Computed in pure Python integers, masked to 64 bits after every step, so
-    the result is bit-identical to the uint64 splitmix chain (``_absorb``)
+    the result is bit-identical to the uint64 splitmix chain (``_uniforms``)
     that ``pair_uniforms`` runs on arrays.
     """
     state = _finalize_int(int(seed) & _MASK64)
@@ -73,26 +78,52 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=mix(seed, *path)))
 
 
-def pair_uniforms(seed: int, i, j) -> np.ndarray:
+def _keys(seed):
+    """mix(seed) + _GOLDEN, the first absorb's addend: a uint64 scalar, or an array for an array of seeds."""
+    seeds = np.asarray(seed)
+    if seeds.ndim == 0:
+        return np.uint64((mix(seed) + _GOLDEN) & _MASK64)
+    if seeds.size == 0:
+        return np.zeros(seeds.shape, dtype=np.uint64)
+    # equal seeds come in runs (a cloud's pairs), so only the run heads are sorted
+    flat = seeds.reshape(-1)
+    heads = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    distinct, which = np.unique(flat[heads], return_inverse=True)
+    keys = np.array([(mix(int(s)) + _GOLDEN) & _MASK64 for s in distinct], dtype=np.uint64)
+    return np.repeat(keys[which], np.diff(heads, append=flat.size)).reshape(seeds.shape)
+
+
+def _uniforms(seed, first, *rest) -> np.ndarray:
+    """mix(seed) with each word absorbed in turn, as uniforms in (0, 1); the words broadcast with seed."""
+    with np.errstate(over="ignore"):
+        # the first absorb makes the buffer that the rest of the chain updates in place
+        state = first ^ _keys(seed)
+        scalar = state.ndim == 0
+        state = np.atleast_1d(state)
+        _finalize(state)
+        for word in rest:
+            _absorb(state, word)
+        state >>= np.uint64(11)
+    # 53-bit mantissa, offset half a ulp so the value is strictly inside (0,1)
+    out = state.astype(np.float64)
+    out += 0.5
+    out *= 2.0**-53
+    return out[0] if scalar else out
+
+
+def pair_uniforms(seed, i, j) -> np.ndarray:
     """Uniform(0,1) variates indexed by unordered pairs of point ids.
 
     ``i`` and ``j`` may be arrays; the result is elementwise and symmetric
-    under swapping i and j.
+    under swapping i and j.  ``seed`` is an int or an integer array that
+    broadcasts against them, one seed per pair; ``mix`` runs once per
+    distinct seed.
     """
     i = np.asarray(i, dtype=np.uint64)
     j = np.asarray(j, dtype=np.uint64)
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    state = np.asarray(mix(seed), dtype=np.uint64)
-    state = _absorb(state, lo)
-    state = _absorb(state, hi)
-    # 53-bit mantissa, offset half a ulp so the value is strictly inside (0,1)
-    return ((state >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _uniforms(seed, np.minimum(i, j), np.maximum(i, j))
 
 
 def point_uniforms(seed: int, ids) -> np.ndarray:
     """Uniform(0,1) variates indexed by single point ids (used for thinning)."""
-    ids = np.asarray(ids, dtype=np.uint64)
-    state = np.asarray(mix(seed), dtype=np.uint64)
-    state = _absorb(state, ids)
-    return ((state >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _uniforms(seed, np.asarray(ids, dtype=np.uint64))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import perco
+from perco import coupling, estimators, renorm
 from perco.coupling import check_thinning_bounds
 from perco.errors import ConfigurationError
 from perco.estimators import (
@@ -43,7 +44,7 @@ from perco.models import (
     polynomial_profile,
 )
 from perco.ppp import ball_window, box_window, sample_ppp, sphere_surface, unit_ball_volume
-from perco.renorm import bracket_crossing_intensity, renorm_table
+from perco.renorm import bracket_crossing_intensity, crossing_thresholds, renorm_table
 
 from reference import naive_edges
 
@@ -198,18 +199,88 @@ def test_run_replicates_shape_and_thread_independence():
     def pair(rep_seed):
         return rep_seed % 2 == 0, rep_seed % 3 == 0
 
-    rows = run_replicates(pair, 40, seed=17)
+    def block(seeds):
+        return [pair(s) for s in seeds]
+
+    rows = run_replicates(block, 40, seed=17)
     assert rows.shape == (40, 2) and rows.dtype == bool
-    assert np.array_equal(run_replicates(pair, 40, seed=17, threads=3), rows)
+    assert np.array_equal(run_replicates(block, 40, seed=17, threads=3), rows)
     expected = [pair(replicate_seed(17, i)) for i in range(40)]
     assert rows.tolist() == [list(row) for row in expected]
-    single = run_replicates(lambda rep_seed: rep_seed % 2 == 0, 40, seed=17)
+    single = run_replicates(lambda seeds: [s % 2 == 0 for s in seeds], 40, seed=17)
     assert single.shape == (40, 1)
     assert np.array_equal(single[:, 0], rows[:, 0])
     assert [e.hits for e in fold(rows)] == [int(rows[:, 0].sum()), int(rows[:, 1].sum())]
     for n in (0, -3):
         with pytest.raises(ConfigurationError):
-            run_replicates(pair, n, seed=17)
+            run_replicates(block, n, seed=17)
+
+
+class _Rows(Exception):
+    """Carries a check's replicate rows out of it, once its loop has returned."""
+
+
+# each check with parameters whose clouds straddle the shared-screen size (graph._TILE_ROWS
+# points), on models whose edges mostly hang on their uniforms, so a pair screened under
+# another replicate's key changes the rows
+_SOFT = classical_model(2, Kernel("plain"), polynomial_profile(2.0), beta=0.1)
+_SOFT_WEIGHTED = classical_model(2, Kernel("product"), indicator_profile(1.0), tau=2.5, beta=0.3)
+_LOOPS = {
+    "estimate_event": (estimators, lambda n, t: estimate_event(_SOFT, 8.0, crossing_spec(0.5), n, 3, t)),
+    "check_covering_inequality": (
+        estimators,
+        lambda n, t: check_covering_inequality(_SOFT, 1.5, 0.5, 1.0, 2.0, n, 4, t),
+    ),
+    "estimate_mixing_cov": (estimators, lambda n, t: estimate_mixing_cov(_SOFT, 2.8, 0.2, [1.3, 0.0], n, 5, t)),
+    "check_thinning_bounds": (coupling, lambda n, t: check_thinning_bounds(_SOFT, 1.2, 2.4, 1.0, n, 6, t)),
+    "renorm_table": (renorm, lambda n, t: renorm_table(_SOFT, 2.5, [0.1], n, 7, t)),
+    "crossing_thresholds": (renorm, lambda n, t: crossing_thresholds(_SOFT_WEIGHTED, 2.4, 1.0, n, 8, t)),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(_LOOPS))
+def test_replicate_rows_independent_of_blocks_and_threads(loop, monkeypatch):
+    module, check = _LOOPS[loop]
+    real = estimators.run_replicates
+
+    def rows_of(n, threads):
+        with pytest.raises(_Rows) as caught:
+            check(n, threads)
+        return caught.value.args[0]
+
+    def capture(fn, n, seed, threads=1):
+        raise _Rows(real(fn, n, seed, threads))
+
+    monkeypatch.setattr(module, "run_replicates", capture)
+    monkeypatch.setattr(estimators, "MIN_COV_TRIALS", 1)
+    block = estimators._BLOCK
+    with monkeypatch.context() as alone:
+        alone.setattr(estimators, "_BLOCK", 1)  # every replicate in a block of its own
+        want = rows_of(block + 1, 1)
+    assert want.shape[0] == block + 1
+    for threads in (1, 2, 3):
+        for n in (1, block - 1, block, block + 1):
+            rows = rows_of(n, threads)
+            assert rows.dtype == want.dtype and np.array_equal(rows, want[:n]), (threads, n)
+    monkeypatch.setattr(estimators, "_GROUP_POINTS", 40)  # a block built a cloud or two at a time
+    assert np.array_equal(rows_of(block + 1, 1), want)
+
+
+def test_blocks_sample_and_build_a_group_at_a_time(monkeypatch):
+    # a block of large clouds must not be held in memory all at once
+    built = []
+    real = estimators.build_graphs
+
+    def spy(clouds, model, seeds):
+        built.append([len(cloud) for cloud in clouds])
+        return real(clouds, model, seeds)
+
+    monkeypatch.setattr(estimators, "build_graphs", spy)
+    monkeypatch.setattr(estimators, "_GROUP_POINTS", 200)
+    estimate_event(_SOFT, 5.0, crossing_spec(1.0), n=70, seed=2)
+    assert sum(map(len, built)) == 70 and len(built) > 10
+    # a group closes with the cloud that takes it to 200 points, or at the end of its block
+    assert all(sum(sizes[:-1]) < 200 for sizes in built)
 
 
 def test_replicate_loops_golden_hit_counts():

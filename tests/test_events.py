@@ -280,3 +280,82 @@ def test_eventspec_evaluate_dispatch():
     assert EventSpec(kind="local_crossing", r=0.35).evaluate(graph)
     assert EventSpec(kind="renorm_long_edge", r=0.04).evaluate(graph)
     assert not EventSpec(kind="crossing", r=1.0).evaluate(graph)
+
+
+def _roots(n, edges):
+    """Component representative of every vertex: a plain union-find, one graph at a time."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    return [find(a) for a in range(n)]
+
+
+def _oracle(spec, graph):
+    """The event on one graph, straight from its definition."""
+    pos = graph.cloud.positions
+    r = spec.r
+    sq = [float(np.sum(p * p)) for p in pos]
+    edges = graph.edges.tolist()
+
+    def length(i, j):
+        return float(np.sqrt(np.sum((pos[i] - pos[j]) ** 2)))
+
+    if spec.kind == "long_edge":
+        return any((sq[i] < r * r or sq[j] < r * r) and length(i, j) > spec.c * r for i, j in edges)
+    if spec.kind == "renorm_long_edge":
+        return any(
+            (sq[i] < (20 * r) ** 2 or sq[j] < (20 * r) ** 2) and float(np.sum((pos[i] - pos[j]) ** 2)) > r * r
+            for i, j in edges
+        )
+    center = np.zeros(pos.shape[1]) if spec.center is None else spec.center
+    dist2 = [float(np.sum((p - center) ** 2)) for p in pos]
+    inside = [spec.kind == "crossing" or d2 <= (3 * r) ** 2 for d2 in dist2]
+    roots = _roots(len(pos), [(i, j) for i, j in edges if inside[i] and inside[j]])
+    sources = {roots[v] for v, d2 in enumerate(dist2) if inside[v] and d2 <= r * r}
+    return any(roots[v] in sources for v, d2 in enumerate(dist2) if inside[v] and d2 > (2 * r) ** 2)
+
+
+@st.composite
+def _event_blocks(draw):
+    """Random graphs on points in the unit ball, and an event that the ball's window covers."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    window = ball_window(1.0, d=d)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graphs = []
+    for n in draw(st.lists(st.integers(0, 14), max_size=6)):
+        pos = gen.normal(size=(n, d))
+        pos *= (gen.random(n) ** (1.0 / d) / np.maximum(np.linalg.norm(pos, axis=1), 1e-12))[:, None]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = gen.random(len(pairs)) < draw(st.sampled_from([0.1, 0.3, 0.7]))
+        cloud = PointCloud(window=window, intensity=1.0, positions=pos, marks=np.full(n, 0.5), seed=0)
+        edges = np.array([p for p, k in zip(pairs, keep) if k], dtype=np.int64).reshape(-1, 2)
+        graphs.append(GeomGraph(cloud=cloud, seed=0, edges=edges))
+    kind = draw(st.sampled_from(["long_edge", "crossing", "local_crossing", "renorm_long_edge"]))
+    if kind == "long_edge":
+        c = draw(st.floats(0.05, 1.5))
+        spec = long_edge_spec(draw(st.floats(0.02, 1.0 / (1.0 + c))), c)
+    elif kind == "crossing":
+        spec = crossing_spec(draw(st.floats(0.02, 0.49)))
+    elif kind == "local_crossing":
+        r = draw(st.floats(0.02, 0.3))
+        center = None if draw(st.booleans()) else gen.uniform(-1.0, 1.0, d) * (1.0 - 3.0 * r) / math.sqrt(d)
+        spec = local_crossing_spec(r, center=center)
+    else:
+        spec = renorm_long_edge_spec(draw(st.floats(0.002, 1.0 / 21.0)))
+    return spec, graphs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_event_blocks())
+def test_evaluate_many_equals_union_find_oracle_per_graph(case):
+    spec, graphs = case
+    got = spec.evaluate_many(graphs)
+    assert got.dtype == bool and got.shape == (len(graphs),)
+    assert got.tolist() == [_oracle(spec, g) for g in graphs]
+    assert [spec.evaluate(g) for g in graphs] == got.tolist()

@@ -14,6 +14,7 @@ from perco.graph import (
     GeomGraph,
     ball_region,
     build_graph,
+    build_graphs,
     complement_region,
     connected_regions,
     connected_regions_restricted,
@@ -418,6 +419,51 @@ def test_exact_sweep_independent_of_tile_rows(case):
             built.append(build_graph(cloud, model, seed=seed, method="exact").edges)
     assert all(np.array_equal(built[0], e) for e in built[1:])
     assert list(map(tuple, built[0].tolist())) == reference.naive_edges(cloud, model, seed)
+
+
+@st.composite
+def _cloud_blocks(draw):
+    """Clouds in one box, sized on both sides of the shared-screen limit (_TILE_ROWS points)."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    # the soft model's edges all hang on their uniforms, so a pair keyed by another cloud's seed shows
+    soft = classical_model(d, Kernel("plain"), polynomial_profile(2.0), beta=0.05)
+    model = draw(st.sampled_from([*_tile_case_models(d), soft]))
+    side = draw(st.sampled_from([1.0, 3.0]))
+    coord = st.floats(0.0, side, allow_nan=False, allow_infinity=False)
+    edge_sizes = st.sampled_from([0, 1, graph._TILE_ROWS, graph._TILE_ROWS + 1])
+    sizes = draw(st.lists(st.one_of(edge_sizes, st.integers(0, 40)), min_size=1, max_size=4))
+    clouds = []
+    for n in sizes:
+        rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+        marks = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=n, max_size=n))
+        ids = draw(st.permutations(range(3 * n)))[:n]  # ids out of index order
+        clouds.append(PointCloud(
+            window=box_window([0.0] * d, [side] * d),
+            intensity=1.0,
+            positions=np.array(rows, dtype=float).reshape(n, d),
+            marks=np.array(marks, dtype=float),
+            seed=0,
+            ids=np.array(ids, dtype=np.uint64),
+        ))
+    # equal seeds side by side, and seeds that need mix's reduction to 64 bits
+    seeds = draw(st.lists(st.sampled_from([0, 5, -3, 2**64 - 1, 2**63 + 7]), min_size=len(sizes), max_size=len(sizes)))
+    return model, clouds, seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cloud_blocks())
+def test_build_graphs_equals_naive_edges_per_cloud(case):
+    # the clouds overlap in one box, so a generalized model's damping would count the
+    # other clouds' points if the block were damped as one configuration
+    model, clouds, seeds = case
+    graphs = build_graphs(clouds, model, seeds)
+    assert len(graphs) == len(clouds)
+    for g, cloud, seed in zip(graphs, clouds, seeds):
+        assert g.cloud is cloud and g.seed == seed
+        assert g.edges.dtype == np.int64 and g.edges.shape[1] == 2
+        assert list(map(tuple, g.edges.tolist())) == reference.naive_edges(cloud, model, seed)
+    with pytest.raises(ConfigurationError):
+        build_graphs(clouds, model, seeds + [1])
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -72,3 +72,42 @@ _MIX_GOLDEN = [
 def test_mix_golden_values():
     for args, expected in _MIX_GOLDEN:
         assert mix(*args) == expected, args
+
+
+# values of pair_uniforms and point_uniforms, recorded before the splitmix chain ran in place
+_PAIR_GOLDEN = ["0x1.beb0dc44cb09cp-1", "0x1.40bbae23772f0p-1", "0x1.27456d20bd29cp-1", "0x1.1aef2870310f4p-1",
+                "0x1.0911431808862p-1"]
+_POINT_GOLDEN = ["0x1.962c5f843dadep-3", "0x1.ae65a40a9d102p-1", "0x1.813ba45ed6d41p-2", "0x1.704925b77dbe8p-1",
+                 "0x1.3a9b1fe89cbd2p-3"]
+
+
+def test_pair_and_point_uniforms_golden_values():
+    i = np.array([0, 1, 7, 2**40, 5])
+    j = np.array([3, 1, 2, 9, 2**63 + 11], dtype=np.uint64)
+    assert [float(u).hex() for u in pair_uniforms(2024, i, j)] == _PAIR_GOLDEN
+    ids = np.array([0, 1, 7, 2**40, 2**64 - 1], dtype=np.uint64)
+    assert [float(u).hex() for u in point_uniforms(2024, ids)] == _POINT_GOLDEN
+    # scalar inputs give a numpy scalar, as they did
+    one = pair_uniforms(-5, 4, 9)
+    assert type(one) is np.float64 and one.hex() == "0x1.006185158d870p-1"
+    assert float(pair_uniforms(2**64 - 1, 0, 0)).hex() == "0x1.2d1a3d8043feep-1"
+    assert type(point_uniforms(0, 0)) is np.float64 and float(point_uniforms(0, 0)).hex() == "0x1.c4415072f63bap-1"
+    # a broadcast tile equals the pairs one by one
+    tile = pair_uniforms(2024, i[:, None], j[None, :])
+    assert tile.shape == (5, 5) and tile[4, 3] == pair_uniforms(2024, 5, 9)
+
+
+def test_pair_uniforms_array_seeds_equal_scalar_seeds():
+    # one seed per pair, in runs and out of order, negative and above 2**63
+    seeds = np.array([2024, 2024, -5, 2024, 7, 7, -5], dtype=np.int64)
+    i = np.array([0, 1, 4, 7, 3, 3, 4])
+    j = np.array([3, 1, 9, 2, 8, 8, 9])
+    got = pair_uniforms(seeds, i, j)
+    assert np.array_equal(got, [pair_uniforms(int(s), a, b) for s, a, b in zip(seeds, i, j)])
+    assert got[2].hex() == "0x1.006185158d870p-1" and got[0].hex() == _PAIR_GOLDEN[0]
+    big = np.array([2**64 - 1, 2**63 + 3], dtype=np.uint64)
+    assert np.array_equal(pair_uniforms(big, 0, 0), [pair_uniforms(2**64 - 1, 0, 0), pair_uniforms(2**63 + 3, 0, 0)])
+    # seeds broadcast against a tile of ids
+    tile = pair_uniforms(np.array([[5], [6]]), np.arange(3)[None, :], 11)
+    assert np.array_equal(tile[1], pair_uniforms(6, np.arange(3), 11))
+    assert pair_uniforms(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)).shape == (0,)
