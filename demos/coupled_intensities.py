@@ -12,9 +12,9 @@ from perco import (
     ball_window,
     catalog,
     coupled_graphs,
-    crossing_event,
+    crossing_spec,
     induced_edges,
-    long_edge_event,
+    long_edge_spec,
     thin_pair,
 )
 from perco.rng import mix
@@ -35,7 +35,7 @@ if __name__ == "__main__":
         expected = induced_edges(g_high, pair.retained)
         if g_low.edges.shape != expected.shape or not np.array_equal(g_low.edges, expected):
             mismatches += 1
-        for event in (lambda g: long_edge_event(g, 1.0, 0.5), lambda g: crossing_event(g, 0.8)):
+        for event in (long_edge_spec(1.0, 0.5).evaluate, crossing_spec(0.8).evaluate):
             a, b = event(g_low), event(g_high)
             low_hits += a
             high_hits += b

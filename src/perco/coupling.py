@@ -62,7 +62,8 @@ def thin_pair(window: Window, lam_low: float, lam_high: float, seed: int) -> Cou
     else:
         ratio = lam_low / lam_high
     retained = retention_uniforms(high, seed) < ratio
-    low = replace(high.subset(retained), intensity=lam_low)
+    low = replace(high, intensity=lam_low, positions=high.positions[retained], marks=high.marks[retained],
+                  ids=high.ids[retained])
     return CoupledPair(
         window=window, lam_low=lam_low, lam_high=lam_high, high=high, retained=retained, low=low
     )

@@ -10,9 +10,9 @@ indicators, or a threshold) as an (n, k) array in replicate-index order;
 check goes through the pair, which makes multi-threaded runs byte-identical
 to single-threaded ones.  A block samples its clouds one replicate at a time,
 each on its own key, then builds them with one shared screen
-(``graph.build_graphs``) and evaluates each event once over them
-(``EventSpec.evaluate_many``), in groups of about ``_GROUP_POINTS`` points
-(``sample_groups``) so that memory stays bounded for large clouds.
+(``graph.build_graphs``) and decides each event or ball once over them
+(``EventSpec.evaluate_many``, ``events.long_edge_hits``), in groups of about
+``_GROUP_POINTS`` points (``sample_groups``) so that memory stays bounded.
 
 The Campbell-formula routines compute expected edge counts as deterministic
 integrals against intensity^2; they power calibration tests, the Markov
@@ -36,8 +36,8 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigurationError, ContractError
-from .events import EventSpec, local_crossing_spec, long_edge_ends, long_edge_spec, long_edge_window, long_edge_within
-from .graph import GeomGraph, build_graph, build_graphs
+from .events import EventSpec, local_crossing_spec, long_edge_hits, long_edge_spec, long_edge_window
+from .graph import _TILE_ROWS, GeomGraph, build_graph, build_graphs
 from .models import ModelSpec, mark_averaged_connection, max_range, phibar_breakpoints
 from .ppp import Window, sample_ppp, sphere_surface, unit_ball_volume
 from .quadrature import DIVERGENT, INCONCLUSIVE, lens_volume, radial_integral, set_covariance_radial
@@ -54,7 +54,7 @@ _BLOCK = 64
 # many points: a whole block of clouds small enough to share a screen (at most
 # graph._TILE_ROWS points each) is one group, while a block of large clouds is held
 # in memory a few replicates at a time
-_GROUP_POINTS = 2048
+_GROUP_POINTS = _BLOCK * _TILE_ROWS
 
 
 @dataclass(frozen=True)
@@ -511,16 +511,15 @@ def check_covering_inequality(
     # long edges with an endpoint in any covering ball, which reaches (q + 1) r from the origin
     window = long_edge_window(q + 1.0, c_prime, r, d)
     origin = np.zeros(d)
-
-    def one(graph: GeomGraph):
-        ends = long_edge_ends(graph, length)
-        lhs = long_edge_within(ends, origin, r)
-        rhs = long_edge_within(ends, origin, q * r)
-        covered = rhs and any(long_edge_within(ends, center, r, closed=True) for center in scaled_centers)
-        return lhs, rhs, covered
+    # columns: the small ball, the large ball, then every covering ball, closed
+    balls = [(origin, r, False), (origin, q * r, False), *((center, r, True) for center in scaled_centers)]
 
     def block(seeds):
-        return [one(graph) for _, graphs in sample_event_graphs(model, intensity, window, seeds) for graph in graphs]
+        rows = []
+        for _, graphs in sample_event_graphs(model, intensity, window, seeds):
+            hits = long_edge_hits(graphs, length, balls)
+            rows.append(np.stack([hits[:, 0], hits[:, 1], hits[:, 1] & hits[:, 2:].any(axis=1)], axis=1))
+        return np.concatenate(rows)
 
     rows = run_replicates(block, n, seed, threads)
     lhs_est, rhs_est = fold(rows[:, :2])

@@ -10,15 +10,16 @@ Events at scale r:
 * renorm long edge: an edge with an endpoint in B(0,20r) and length > r;
   identical to the long-edge event at (20r, 1/20).
 
-Each kind has one evaluator, ``EventSpec.evaluate_many``, which decides the
-event on every graph of a block of replicates at once; ``EventSpec.evaluate``
-and the ``*_event`` functions are its one-graph case.
-
-``crossing_threshold`` reduces a graph whose vertices carry retention
-uniforms to the level at which the crossing first holds on the retained
-vertices, so one build answers the crossing at every thinning of its cloud.
-It runs the same union-find as the crossing events, with the uniforms as
-vertex weights.
+Two predicates decide every check, each in one routine over a block of
+graphs at once.  "A long edge has an end in a ball" is ``long_edge_hits``,
+one column per open or closed ball; the long-edge event is its one-ball
+case.  "A ball connects to the outside of a larger ball" is
+``EventSpec._crossing_levels``: window checks, endpoint masks and the local
+crossing's restriction, then ``graph._meeting_level`` per graph.
+``evaluate_many`` reads its levels as the event, and ``thresholds_many``
+reads them under vertex weights: with retention uniforms as weights, one
+build answers the crossing at every thinning of its cloud.  The one-graph
+cases are ``EventSpec.evaluate`` and ``crossing_threshold``.
 
 Windows are balls with an additive safety margin; evaluating an event on a
 graph whose window is too small raises WindowCoverageError rather than
@@ -36,10 +37,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, WindowCoverageError
-from .graph import GeomGraph, _meeting_level, ball_region, complement_region
-from .ppp import Window, ball_window, unit_ball_volume
+from .graph import GeomGraph, _meeting_level, _sum_squares
+from .ppp import Window, ball_window, in_closed_ball, unit_ball_volume
 
 WINDOW_MARGIN = 0.05
+_HIT_CELLS = 1 << 18  # (end, ball) pairs per chunk of long_edge_hits, which bounds its memory
 
 LONG_EDGE = "long_edge"
 CROSSING = "crossing"
@@ -66,6 +68,8 @@ class EventSpec:
         if self.kind == LONG_EDGE and not (self.c > 0 and math.isfinite(self.c)):
             raise ConfigurationError(f"length ratio c must be positive, got {self.c}")
         if self.center is not None:
+            if self.kind != LOCAL_CROSSING:
+                raise ConfigurationError(f"only a local crossing takes a center, not a {self.kind} event")
             center = np.atleast_1d(np.asarray(self.center, dtype=float))
             center.flags.writeable = False
             object.__setattr__(self, "center", center)
@@ -77,7 +81,7 @@ class EventSpec:
         if self.kind == CROSSING:
             radius = (2.0 + margin) * self.r
         elif self.kind == LOCAL_CROSSING:
-            shift = float(np.linalg.norm(self.center)) if self.center is not None else 0.0
+            shift = float(np.linalg.norm(self._center(d)))
             radius = shift + (3.0 + margin) * self.r
         else:
             radius = (21.0 + margin) * self.r
@@ -104,9 +108,8 @@ class EventSpec:
     def evaluate_many(self, graphs) -> np.ndarray:
         """The event on each graph of a block, as a bool array in the graphs' order.
 
-        Region masks and edge tests run once over the block's concatenated
-        points and edges; a crossing then runs ``graph._meeting_level`` on
-        each graph whose two endpoint sets are both nonempty.
+        Masks and edge tests run once over the block's concatenated points and
+        edges; a crossing holds where its meeting level is finite.
         """
         graphs = list(graphs)
         if not graphs:
@@ -114,28 +117,56 @@ class EventSpec:
         block = _Block(graphs)
         if self.kind == LONG_EDGE:
             _require_ball(block.windows, block.origin, (1.0 + self.c) * self.r, "long-edge event")
-            near = np.sum(block.positions**2, axis=1) < self.r * self.r
-            e = block.edges[block.edge_lengths() > self.c * self.r]
-            return block.any_edge(e[near[e[:, 0]] | near[e[:, 1]]])
+            return block.long_edge_hits(self.c * self.r, [(block.origin, self.r, False)])[:, 0]
         if self.kind == RENORM_LONG_EDGE:
             # endpoint-first, so its identity with the (20r, 1/20) long-edge event is a real cross-check
             _require_ball(block.windows, block.origin, 21.0 * self.r, "renorm long-edge event")
             near = np.sum(block.positions**2, axis=1) < (20.0 * self.r) ** 2
             e = block.edges[near[block.edges[:, 0]] | near[block.edges[:, 1]]]
             diff = block.positions[e[:, 0]] - block.positions[e[:, 1]]
-            return block.any_edge(e[np.sum(diff * diff, axis=1) > self.r * self.r])
+            return block._any(e[np.sum(diff * diff, axis=1) > self.r * self.r, 0])
+        return self._crossing_levels(block) < math.inf
+
+    def thresholds_many(self, graphs, weights) -> np.ndarray:
+        """Each graph's crossing threshold under ``weights``, one array per graph with one weight per vertex.
+
+        The crossing holds on the vertices weighted below s iff the threshold is below s: the bottleneck,
+        over the crossing's paths, of the largest weight on the path (Pollack 1960); inf without a path.
+        """
+        if self.kind not in (CROSSING, LOCAL_CROSSING):
+            raise ConfigurationError(f"thresholds are defined for the crossing kinds, not {self.kind!r}")
+        graphs, weights = list(graphs), [np.asarray(w, dtype=float) for w in weights]
+        if len(weights) != len(graphs) or any(w.shape != (g.n_vertices,) for g, w in zip(graphs, weights)):
+            raise ConfigurationError("crossing thresholds need one weight per vertex of each graph")
+        if not graphs:
+            return np.zeros(0)
+        weights = np.concatenate(weights)
+        if np.isnan(weights).any():
+            raise ConfigurationError("crossing threshold weights must not be NaN")
+        return self._crossing_levels(_Block(graphs), weights)
+
+    def _crossing_levels(self, block: _Block, weights=None) -> np.ndarray:
+        """Each graph's meeting level of B(x, r) and the outside of B(x, 2r); x and B(x, 3r) for the local kind."""
         if self.kind == CROSSING:
             _require_ball(block.windows, block.origin, 2.0 * self.r, "crossing event")
             _require_exterior(block.windows, 2.0 * self.r, "crossing event")
-            in_a = ball_region(block.origin, self.r).contains(block.positions)
-            in_b = complement_region(block.origin, 2.0 * self.r).contains(block.positions)
-            return block.meet(in_a, in_b)
-        center = block.origin if self.center is None else self.center
+            in_a = in_closed_ball(block.positions, block.origin, self.r)
+            in_b = ~in_closed_ball(block.positions, block.origin, 2.0 * self.r)
+            return block.meet(in_a, in_b, weights=weights)
+        center = self._center(block.origin.size)
         _require_ball(block.windows, center, 3.0 * self.r, "local crossing event")
-        in_s = ball_region(center, 3.0 * self.r).contains(block.positions)
-        in_a = ball_region(center, self.r).contains(block.positions) & in_s
-        in_b = complement_region(center, 2.0 * self.r).contains(block.positions) & in_s
-        return block.meet(in_a, in_b, through=in_s)
+        in_s = in_closed_ball(block.positions, center, 3.0 * self.r)
+        in_a = in_closed_ball(block.positions, center, self.r) & in_s
+        in_b = ~in_closed_ball(block.positions, center, 2.0 * self.r) & in_s
+        return block.meet(in_a, in_b, through=in_s, weights=weights)
+
+    def _center(self, d: int) -> np.ndarray:
+        """The local crossing's center in R^d; the origin when none was given."""
+        if self.center is None:
+            return np.zeros(d)
+        if self.center.shape != (d,):
+            raise ConfigurationError(f"local crossing center needs {d} coordinates, got {self.center.size}")
+        return self.center
 
 
 class _Block:
@@ -157,30 +188,40 @@ class _Block:
         n_edges = [g.n_edges for g in self.graphs]
         return np.concatenate([g.edges for g in self.graphs]) + np.repeat(self.starts, n_edges)[:, None]
 
-    def edge_lengths(self) -> np.ndarray:
-        diff = self.positions[self.edges[:, 0]] - self.positions[self.edges[:, 1]]
-        return np.sqrt(np.sum(diff * diff, axis=1))
-
     def _any(self, points: np.ndarray) -> np.ndarray:
         """Which graphs own at least one of ``points`` (block indices)."""
         return np.bincount(self.owner[points], minlength=len(self.graphs)) > 0
 
-    def any_edge(self, edges: np.ndarray) -> np.ndarray:
-        """Which graphs hold at least one of ``edges`` (block indexing)."""
-        return self._any(edges[:, 0])
+    def long_edge_hits(self, length: float, balls) -> np.ndarray:
+        """Which graphs have an edge longer than ``length`` with an end in each of one or more balls.
 
-    def meet(self, in_a: np.ndarray, in_b: np.ndarray, through: np.ndarray | None = None) -> np.ndarray:
-        """Which graphs join an in_a vertex to an in_b vertex, using only ``through`` vertices if given."""
-        out = np.zeros(len(self.graphs), dtype=bool)
+        Per chunk of balls, one (ends, balls) array of squared distances, each entry np.sum((x - c) ** 2)
+        bit for bit (``graph._sum_squares`` adds in its order).
+        """
+        diff = self.positions[self.edges[:, 0]] - self.positions[self.edges[:, 1]]
+        ends = np.unique(self.edges[np.sqrt(np.sum(diff * diff, axis=1)) > length])
+        coords = self.positions[ends].T
+        centers, radii, closed = (np.array(column) for column in zip(*balls))
+        hits = np.zeros((len(self.graphs), len(balls)), dtype=bool)
+        step = max(1, _HIT_CELLS // max(ends.size, 1))
+        for k0 in range(0, len(balls), step):
+            part = slice(k0, k0 + step)
+            d2 = _sum_squares([np.subtract.outer(x, c[part]) for x, c in zip(coords, centers.T)])
+            r2 = radii[part] * radii[part]
+            rows, cols = np.nonzero(np.where(closed[part], d2 <= r2, d2 < r2))
+            hits[self.owner[ends[rows]], cols + k0] = True
+        return hits
+
+    def meet(self, in_a: np.ndarray, in_b: np.ndarray, through=None, weights=None) -> np.ndarray:
+        """Each graph's ``graph._meeting_level`` of in_a and in_b; ``through`` and ``weights`` are per point."""
+        levels = np.full(len(self.graphs), math.inf)
         starts, ends = self.starts.tolist(), self.ends.tolist()
         for k in np.flatnonzero(self._any(in_a) & self._any(in_b)).tolist():
-            g, lo, hi = self.graphs[k], starts[k], ends[k]
-            e = g.edges
-            if through is not None:
-                keep = through[lo:hi]
-                e = e[keep[e[:, 0]] & keep[e[:, 1]]]
-            out[k] = _meeting_level(g.n_vertices, e, in_a[lo:hi], in_b[lo:hi]) < math.inf
-        return out
+            g, part = self.graphs[k], slice(starts[k], ends[k])
+            w = None if weights is None else weights[part]
+            s = None if through is None else through[part]
+            levels[k] = _meeting_level(g.n_vertices, g.edges, in_a[part], in_b[part], w, s)
+        return levels
 
 
 def long_edge_spec(r: float, c: float) -> EventSpec:
@@ -217,25 +258,19 @@ def _require_exterior(windows, radius: float, what: str) -> None:
             )
 
 
-def long_edge_event(graph: GeomGraph, r: float, c: float) -> bool:
-    """Some edge has an endpoint with |x| < r and length > c*r."""
-    return long_edge_spec(r, c).evaluate(graph)
+def long_edge_hits(graphs, length: float, balls) -> np.ndarray:
+    """Whether each graph (row) has an edge longer than ``length`` with an end in each ball (column).
 
-
-def long_edge_ends(graph: GeomGraph, length: float) -> np.ndarray:
-    """Positions of both endpoints of every edge longer than ``length``, one per row."""
-    return graph.cloud.positions[graph.edges[graph.edge_lengths() > length].reshape(-1)]
-
-
-def long_edge_within(ends: np.ndarray, center: np.ndarray, r: float, closed: bool = False) -> bool:
-    """Some long-edge endpoint (a row of ``long_edge_ends``) lies within r of center.
-
-    The ball is open unless ``closed``; the caller checks window coverage.
+    ``balls`` lists (center, radius, closed) triples, open unless ``closed``;
+    the caller checks window coverage.
     """
-    if ends.size == 0:
-        return False
-    d2 = np.sum((ends - center) ** 2, axis=1)
-    return bool(np.any(d2 <= r * r)) if closed else bool(np.any(d2 < r * r))
+    graphs, balls = list(graphs), [(np.asarray(c, dtype=float), radius, closed) for c, radius, closed in balls]
+    if not (graphs and balls):
+        return np.zeros((len(graphs), len(balls)), dtype=bool)
+    block = _Block(graphs)
+    if any(c.shape != block.origin.shape for c, _, _ in balls):
+        raise ConfigurationError(f"every ball center needs {block.origin.size} coordinates")
+    return block.long_edge_hits(length, balls)
 
 
 def long_edge_window(reach: float, c: float, r: float, d: int, margin: float = WINDOW_MARGIN) -> Window:
@@ -243,40 +278,6 @@ def long_edge_window(reach: float, c: float, r: float, d: int, margin: float = W
     return ball_window((reach + c + margin) * r, d=d)
 
 
-def crossing_event(graph: GeomGraph, r: float) -> bool:
-    """B(0,r) connects to the window part of the complement of B(0,2r)."""
-    return crossing_spec(r).evaluate(graph)
-
-
 def crossing_threshold(graph: GeomGraph, r: float, weights: np.ndarray) -> float:
-    """Least t such that the crossing holds on the vertices weighted below s, for every s > t.
-
-    Vertex i carries ``weights[i]``.  The crossing event holds on the subgraph
-    induced by {i : weights[i] < s} exactly when the result is below s: the
-    result is the bottleneck, over paths from B(0,r) to outside B(0,2r), of
-    the largest weight on the path (Pollack 1960), found by the union-find that
-    decides every crossing (``graph._meeting_level``).  It is inf when no path
-    exists.  The window checks are those of crossing_event.
-    """
-    origin = np.zeros(graph.cloud.dimension)
-    _require_ball([graph.cloud.window], origin, 2.0 * r, "crossing event")
-    _require_exterior([graph.cloud.window], 2.0 * r, "crossing event")
-    pos = graph.cloud.positions
-    in_a = ball_region(origin, r).contains(pos)
-    in_b = complement_region(origin, 2.0 * r).contains(pos)
-    return _meeting_level(graph.n_vertices, graph.edges, in_a, in_b, weights)
-
-
-def local_crossing_event(graph: GeomGraph, r: float, center=None) -> bool:
-    """Crossing around ``center`` using only vertices within B(center, 3r)."""
-    return local_crossing_spec(r, center).evaluate(graph)
-
-
-def renorm_long_edge_event(graph: GeomGraph, r: float) -> bool:
-    """Some edge has an endpoint in B(0, 20r) and length > r.
-
-    Implemented endpoint-first (not by delegating to the long-edge event) so
-    the identity with the (20r, 1/20) long-edge event is a meaningful
-    cross-check.
-    """
-    return renorm_long_edge_spec(r).evaluate(graph)
+    """The crossing threshold of one graph at scale r: the one-graph case of ``EventSpec.thresholds_many``."""
+    return float(crossing_spec(r).thresholds_many([graph], [weights])[0])

@@ -45,8 +45,9 @@ paths are deterministic and thread-schedule independent.
 Connectivity has one routine, ``_meeting_level``: a union-find over the edge
 array, in order of edge level, with each endpoint set collapsed into one
 super-node (Newman & Ziff, PRL 85, 2000).  It answers both plain region
-connectivity and the bottleneck level over vertex weights that
-``events.crossing_threshold`` needs.
+connectivity, restricted to the paths through a vertex set, and the
+bottleneck level over vertex weights that the crossing thresholds
+(``events.EventSpec.thresholds_many``) need.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, ResourceError
 from .models import ModelSpec, max_range, pair_range, pairwise_prob
-from .ppp import PointCloud
+from .ppp import PointCloud, in_closed_ball
 from .rng import _MASK64, pair_uniforms
 
 DEFAULT_PAIR_BUDGET = 200_000_000
@@ -92,11 +93,8 @@ class Region:
         object.__setattr__(self, "radius", float(self.radius))
 
     def contains(self, positions: np.ndarray) -> np.ndarray:
-        positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        d2 = np.sum((positions - self.center) ** 2, axis=1)
-        if self.kind == "ball":
-            return d2 <= self.radius**2
-        return d2 > self.radius**2
+        inside = in_closed_ball(np.atleast_2d(np.asarray(positions, dtype=float)), self.center, self.radius)
+        return inside if self.kind == "ball" else ~inside
 
 
 def ball_region(center, radius: float) -> Region:
@@ -393,19 +391,23 @@ def build_graph(
     return build_graphs([cloud], model, [seed], method, pair_budget)[0]
 
 
-def _meeting_level(n: int, edges: np.ndarray, in_a: np.ndarray, in_b: np.ndarray, weights=None) -> float:
+def _meeting_level(n: int, edges: np.ndarray, in_a, in_b, weights=None, through=None) -> float:
     """Least edge level at which an in_a vertex and an in_b vertex share a component; inf if never.
 
     An edge's level is the larger weight of its two endpoints (0 without
-    ``weights``); a vertex in both sets meets at its own weight.  Edges are
-    merged in order of level, with each set collapsed into one super-node, so
-    the result is the bottleneck, over paths from in_a to in_b, of the largest
-    weight on the path (Pollack, Oper. Res. 8, 1960).  The super-nodes are
-    vertices 0 and 1, the others are shifted by 2; a union points the larger
-    root at the smaller, so 0 and 1 stay roots until the edge that joins them.
+    ``weights``); a vertex in both sets meets at its own weight.  Given
+    ``through``, only edges with both ends in it count (in_a and in_b must
+    lie in it): the one restricted-edge filter.  Edges are merged in order of
+    level, with each set collapsed into one super-node, so the result is the
+    bottleneck, over paths from in_a to in_b, of the largest weight on the
+    path (Pollack, Oper. Res. 8, 1960).  The super-nodes are vertices 0 and
+    1, the others are shifted by 2; a union points the larger root at the
+    smaller, so 0 and 1 stay roots until the edge that joins them.
     """
-    if not (in_a.any() and in_b.any()):
+    if not (in_a.any() and in_b.any()):  # common on small windows; skips the edge filter
         return math.inf
+    if through is not None:
+        edges = edges[through[edges[:, 0]] & through[edges[:, 1]]]
     both = in_a & in_b
     if weights is None:
         if both.any():
@@ -462,10 +464,7 @@ def connected_regions_restricted(
     in_s = through.contains(pos)
     in_a = region_a.contains(pos) & in_s
     in_b = region_b.contains(pos) & in_s
-    if not (in_a.any() and in_b.any()):  # common on small windows; skips the edge filter
-        return False
-    e = graph.edges
-    return _meeting_level(graph.n_vertices, e[in_s[e[:, 0]] & in_s[e[:, 1]]], in_a, in_b) < math.inf
+    return _meeting_level(graph.n_vertices, graph.edges, in_a, in_b, through=in_s) < math.inf
 
 
 def dump_graph(graph: GeomGraph, stream) -> None:

@@ -45,6 +45,11 @@ def sphere_surface(d: int) -> float:
     return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
 
 
+def in_closed_ball(positions: np.ndarray, center, radius: float) -> np.ndarray:
+    """Which rows of ``positions`` (n, d) lie in the closed ball; windows, regions and events share it."""
+    return np.sum((positions - center) ** 2, axis=1) <= float(radius) ** 2
+
+
 @dataclass(frozen=True)
 class MarkedPoint:
     """A position in R^d with a mark in the open interval (0,1)."""
@@ -122,7 +127,7 @@ class Window:
         """Boolean mask of positions (n, d) lying inside the window."""
         positions = np.atleast_2d(positions)
         if self.kind == "ball":
-            return np.sum((positions - self.center) ** 2, axis=1) <= self.radius**2
+            return in_closed_ball(positions, self.center, self.radius)
         return np.all((positions >= self.lower) & (positions <= self.upper), axis=1)
 
     def contains_ball(self, center, radius: float) -> bool:

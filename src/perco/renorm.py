@@ -27,7 +27,7 @@ import numpy as np
 from .coupling import retention_uniforms
 from .errors import ConfigurationError, ContractError, InternalConsistencyError
 from .estimators import Estimate, _event_rows, fold, replicate_seed, run_replicates, sample_event_graphs
-from .events import crossing_spec, crossing_threshold, local_crossing_spec, renorm_long_edge_spec
+from .events import crossing_spec, local_crossing_spec, renorm_long_edge_spec
 from .models import ModelSpec
 from .ppp import unit_ball_volume
 
@@ -203,14 +203,14 @@ def crossing_thresholds(
     """
     if model.variant == "generalized":
         raise ContractError("a thinned context-dependent graph is not the induced subgraph of its master graph")
-    window = crossing_spec(r_probe).window(model.d)
+    spec = crossing_spec(r_probe)
+    window = spec.window(model.d)
 
     def thresholds(seeds):
-        return [
-            crossing_threshold(g, r_probe, retention_uniforms(g.cloud, s))
+        return np.concatenate([
+            spec.thresholds_many(graphs, [retention_uniforms(g.cloud, s) for s, g in zip(group, graphs)])
             for group, graphs in sample_event_graphs(model, lam_max, window, seeds)
-            for s, g in zip(group, graphs)
-        ]
+        ])
 
     return run_replicates(thresholds, n, seed, threads)[:, 0]
 
@@ -231,7 +231,7 @@ def bracket_crossing_intensity(
     Every intensity is realized by thinning the same master clouds (sampled
     at lam_max), so per replicate the crossing indicator is nondecreasing in
     the intensity.  Each replicate samples and builds its master graph once
-    and reduces it to its crossing threshold (``events.crossing_threshold``
+    and reduces it to its crossing threshold (``EventSpec.thresholds_many``
     of its retention uniforms); the thinned graph at lam crosses iff the
     threshold is below lam / lam_max, the strict comparison thin_pair makes.
     Each visited intensity is then a count over the n thresholds.  The

@@ -6,7 +6,7 @@ from scipy import stats
 
 from perco.coupling import check_thinning_bounds, coupled_graphs, induced_edges, thin_pair
 from perco.errors import ConfigurationError, ContractError
-from perco.events import crossing_event, long_edge_event, renorm_long_edge_event
+from perco.events import crossing_spec, long_edge_spec, renorm_long_edge_spec
 from perco.models import catalog, demo_generalized
 from perco.ppp import ball_window, box_window
 
@@ -97,11 +97,7 @@ def test_monotone_events_per_replicate():
     for rep in range(60):
         pair = thin_pair(window, 0.5, 1.0, seed=3000 + rep)
         low_graph, high_graph = coupled_graphs(pair, model, seed=3000 + rep)
-        for evaluate in (
-            lambda g: long_edge_event(g, r, 1.0),
-            lambda g: crossing_event(g, r),
-            lambda g: renorm_long_edge_event(g, r),
-        ):
+        for evaluate in (long_edge_spec(r, 1.0).evaluate, crossing_spec(r).evaluate, renorm_long_edge_spec(r).evaluate):
             low_hit, high_hit = evaluate(low_graph), evaluate(high_graph)
             assert high_hit or not low_hit  # low implies high
             low_hits += low_hit

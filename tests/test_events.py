@@ -1,6 +1,7 @@
 """Event semantics: constructed instances, coverage guards, exact inclusions."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,17 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from perco import events
 from perco.errors import ConfigurationError, WindowCoverageError
 from perco.events import (
     EventSpec,
-    crossing_event,
     crossing_spec,
     crossing_threshold,
-    local_crossing_event,
     local_crossing_spec,
-    long_edge_event,
+    long_edge_hits,
     long_edge_spec,
-    renorm_long_edge_event,
     renorm_long_edge_spec,
 )
 from perco.graph import GeomGraph, ball_region, build_graph, complement_region
@@ -75,24 +74,24 @@ def test_long_edge_constructed():
     graph = build_graph(cloud, model, seed=1)
     assert graph.n_edges == 1
     # edge of length 0.9 with an endpoint at the origin
-    assert long_edge_event(graph, r=0.2, c=1.0)
+    assert long_edge_spec(0.2, 1.0).evaluate(graph)
     # same edge is too short once c asks for length > 1.0
-    assert not long_edge_event(graph, r=0.2, c=5.0)
+    assert not long_edge_spec(0.2, 5.0).evaluate(graph)
     # endpoint must be strictly inside B(0, r)
     far_cloud = make_cloud([[0.5, 0.0], [1.4, 0.0]], radius=2.0)
     far_graph = build_graph(far_cloud, model, seed=1)
     assert far_graph.n_edges == 1
-    assert not long_edge_event(far_graph, r=0.5, c=0.5)
-    assert long_edge_event(far_graph, r=0.51, c=0.5)
+    assert not long_edge_spec(0.5, 0.5).evaluate(far_graph)
+    assert long_edge_spec(0.51, 0.5).evaluate(far_graph)
 
 
 def test_crossing_constructed():
     model = fixed_boolean(2, 0.5)
     chain = make_cloud([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0]], radius=1.5)
     graph = build_graph(chain, model, seed=3)
-    assert crossing_event(graph, r=0.5)
+    assert crossing_spec(0.5).evaluate(graph)
     broken = make_cloud([[0.0, 0.0], [0.6, 0.0]], radius=1.5)
-    assert not crossing_event(build_graph(broken, model, seed=3), r=0.5)
+    assert not crossing_spec(0.5).evaluate(build_graph(broken, model, seed=3))
 
 
 def test_local_crossing_ignores_detours_outside_locality():
@@ -105,48 +104,48 @@ def test_local_crossing_ignores_detours_outside_locality():
     graph = build_graph(make_cloud([s, m, t], radius=2.0), model, seed=5)
     assert graph.n_edges == 2  # s-m and m-t; s-t is 1.047 > 0.98 apart
     r = 0.4
-    assert not local_crossing_event(graph, r)
+    assert not local_crossing_spec(r).evaluate(graph)
     # the unrestricted crossing does count the detour
-    assert crossing_event(graph, r)
+    assert crossing_spec(r).evaluate(graph)
 
 
 def test_local_crossing_direct_path_counts():
     model = fixed_boolean(2, 0.49)
     graph = build_graph(make_cloud([[0.0, 0.0], [0.9, 0.0]], radius=2.0), model, seed=5)
-    assert local_crossing_event(graph, 0.4)
+    assert local_crossing_spec(0.4).evaluate(graph)
     # same event around a shifted center that the pair does not straddle
-    assert not local_crossing_event(graph, 0.4, center=[0.45, 0.0])
+    assert not local_crossing_spec(0.4, center=[0.45, 0.0]).evaluate(graph)
 
 
 def test_renorm_long_edge_constructed():
     model = fixed_boolean(2, 0.5)
     cloud = make_cloud([[0.0, 0.0], [0.9, 0.0]], radius=25.0)
     graph = build_graph(cloud, model, seed=2)
-    assert renorm_long_edge_event(graph, 0.04)  # length 0.9 > r
-    assert not renorm_long_edge_event(graph, 0.95)  # length 0.9 too short
+    assert renorm_long_edge_spec(0.04).evaluate(graph)  # length 0.9 > r
+    assert not renorm_long_edge_spec(0.95).evaluate(graph)  # length 0.9 too short
 
 
 def test_window_coverage_errors():
     model = fixed_boolean(2, 0.5)
     small = build_graph(make_cloud([[0.0, 0.0]], radius=1.0), model, seed=0)
     with pytest.raises(WindowCoverageError):
-        long_edge_event(small, r=0.6, c=1.0)
+        long_edge_spec(0.6, 1.0).evaluate(small)
     with pytest.raises(WindowCoverageError):
-        crossing_event(small, r=0.6)
+        crossing_spec(0.6).evaluate(small)
     with pytest.raises(WindowCoverageError):
-        local_crossing_event(small, r=0.5)
+        local_crossing_spec(0.5).evaluate(small)
     with pytest.raises(WindowCoverageError):
-        renorm_long_edge_event(small, r=0.1)
+        renorm_long_edge_spec(0.1).evaluate(small)
     with pytest.raises(WindowCoverageError):
-        local_crossing_event(small, r=0.2, center=[0.5, 0.0])
+        local_crossing_spec(0.2, center=[0.5, 0.0]).evaluate(small)
     # window equal to B(0, 2r) leaves no room for the target region
     snug = build_graph(make_cloud([[0.0, 0.0]], radius=1.0), model, seed=0)
     with pytest.raises(WindowCoverageError):
-        crossing_event(snug, r=0.5)
+        crossing_spec(0.5).evaluate(snug)
     # the threshold routine raises the crossing event's errors, word for word
     for r in (0.6, 0.5):
         with pytest.raises(WindowCoverageError) as event_error:
-            crossing_event(small, r=r)
+            crossing_spec(r).evaluate(small)
         with pytest.raises(WindowCoverageError) as threshold_error:
             crossing_threshold(small, r, np.full(1, 0.5))
         assert str(threshold_error.value) == str(event_error.value)
@@ -157,10 +156,10 @@ def test_empty_graph_events_false():
     cloud = sample_ppp(intensity=1e-12, window=ball_window(25.0, d=2), seed=11)
     graph = build_graph(cloud, model, seed=11)
     assert graph.n_vertices == 0
-    assert not long_edge_event(graph, 1.0, 1.0)
-    assert not crossing_event(graph, 1.0)
-    assert not local_crossing_event(graph, 1.0)
-    assert not renorm_long_edge_event(graph, 1.0)
+    assert not long_edge_spec(1.0, 1.0).evaluate(graph)
+    assert not crossing_spec(1.0).evaluate(graph)
+    assert not local_crossing_spec(1.0).evaluate(graph)
+    assert not renorm_long_edge_spec(1.0).evaluate(graph)
     assert crossing_threshold(graph, 1.0, np.empty(0)) == math.inf
 
 
@@ -209,7 +208,7 @@ def test_bounded_range_never_long():
         cloud = sample_ppp(intensity=3.0, window=window, seed=900 + rep)
         graph = build_graph(cloud, model, seed=900 + rep)
         hits += graph.n_edges > 0
-        assert not long_edge_event(graph, r=1.5, c=1.0)
+        assert not long_edge_spec(1.5, 1.0).evaluate(graph)
     assert hits > 30  # edges did occur; the events were false on merit
 
 
@@ -227,10 +226,10 @@ def test_inclusion_long_edge_implies_crossing():
     for name, lam in [("boolean-heavy", 1.2), ("plain-poly", 1.2)]:
         model = catalog(d=2)[name]
         for graph in sampled_graphs(model, 4.05 * r, lam, range(3000, 3120)):
-            le = long_edge_event(graph, r, 3.0)
+            le = long_edge_spec(r, 3.0).evaluate(graph)
             if le:
                 positives += 1
-                assert crossing_event(graph, r)
+                assert crossing_spec(r).evaluate(graph)
     assert positives > 5
 
 
@@ -240,10 +239,10 @@ def test_inclusion_local_implies_crossing():
     for name, lam in [("plain-indicator", 1.0), ("boolean-heavy", 0.8)]:
         model = catalog(d=2)[name]
         for graph in sampled_graphs(model, 3.05 * r, lam, range(4000, 4120)):
-            loc = local_crossing_event(graph, r)
+            loc = local_crossing_spec(r).evaluate(graph)
             if loc:
                 positives += 1
-                assert crossing_event(graph, r)
+                assert crossing_spec(r).evaluate(graph)
     assert positives > 5
 
 
@@ -254,8 +253,8 @@ def test_renorm_event_equals_scaled_long_edge():
     for name, lam in [("boolean-heavy", 1.5), ("plain-poly", 1.5)]:
         model = catalog(d=2)[name]
         for graph in sampled_graphs(model, 21.05 * r, lam, range(5000, 5075)):
-            f = renorm_long_edge_event(graph, r)
-            le = long_edge_event(graph, 20.0 * r, 1.0 / 20.0)
+            f = renorm_long_edge_spec(r).evaluate(graph)
+            le = long_edge_spec(20.0 * r, 1.0 / 20.0).evaluate(graph)
             assert f == le
             positives += f
     assert positives > 5
@@ -266,7 +265,7 @@ def test_long_edge_monotone_in_length_ratio():
     cs = [0.3, 0.6, 1.0, 2.0, 4.0]
     model = catalog(d=2)["boolean-heavy"]
     for graph in sampled_graphs(model, (1 + cs[-1] + 0.05) * r, 1.2, range(6000, 6040)):
-        vals = [long_edge_event(graph, r, c) for c in cs]
+        vals = [long_edge_spec(r, c).evaluate(graph) for c in cs]
         # indicator can only switch from True to False as c grows
         for a, b in zip(vals, vals[1:]):
             assert a or not b
@@ -359,3 +358,156 @@ def test_evaluate_many_equals_union_find_oracle_per_graph(case):
     assert got.dtype == bool and got.shape == (len(graphs),)
     assert got.tolist() == [_oracle(spec, g) for g in graphs]
     assert [spec.evaluate(g) for g in graphs] == got.tolist()
+
+
+def test_center_only_on_local_crossing():
+    for kind in ("long_edge", "crossing", "renorm_long_edge"):
+        with pytest.raises(ConfigurationError, match="only a local crossing takes a center"):
+            EventSpec(kind=kind, r=1.0, center=[3.0, 0.0])
+    assert local_crossing_spec(1.0, center=[3.0, 0.0]).center.tolist() == [3.0, 0.0]
+
+
+def test_local_crossing_center_must_match_dimension():
+    graph = build_graph(make_cloud([[0.0, 0.0], [0.9, 0.0]], radius=2.0), fixed_boolean(2, 0.49), seed=5)
+    spec = local_crossing_spec(0.2, center=[0.1, 0.0, 0.0])
+    with pytest.raises(ConfigurationError, match="needs 2 coordinates, got 3"):
+        spec.evaluate(graph)
+    with pytest.raises(ConfigurationError, match="needs 2 coordinates, got 3"):
+        spec.window(2)
+
+
+def test_threshold_weights_one_per_vertex_and_not_nan():
+    graph = build_graph(make_cloud([[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]], radius=2.05), fixed_boolean(2, 0.5), seed=3)
+    assert crossing_threshold(graph, 0.5, np.array([0.1, 0.7, 0.4])) == 0.7
+    for weights in (np.array([0.1, 0.7]), np.array([0.1, 0.7, 0.4, 0.2]), np.full((3, 1), 0.5)):
+        with pytest.raises(ConfigurationError, match="one weight per vertex"):
+            crossing_threshold(graph, 0.5, weights)
+    with pytest.raises(ConfigurationError, match="NaN"):
+        crossing_threshold(graph, 0.5, np.array([0.1, np.nan, 0.4]))
+    spec = crossing_spec(0.5)
+    with pytest.raises(ConfigurationError, match="one weight per vertex"):
+        spec.thresholds_many([graph, graph], [np.zeros(3)])
+    with pytest.raises(ConfigurationError, match="crossing kinds"):
+        long_edge_spec(0.5, 1.0).thresholds_many([graph], [np.zeros(3)])
+    assert spec.thresholds_many([], []).shape == (0,)
+
+
+# a crossing at r = 1 and a local crossing at r = 0.5 around (0.5, 0), in a window of
+# radius 2.05; points on the axis sit exactly on the region boundaries of both
+_AXIS_COORDS = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+_LOCAL_CENTER = (0.5, 0.0)
+
+
+@st.composite
+def _weighted_groups(draw):
+    """Graphs of mixed sizes (empty ones included) with vertex weights, for one threshold call."""
+    group = []
+    for n in draw(st.lists(st.integers(0, 10), max_size=5)):
+        points = []
+        for _ in range(n):
+            if draw(st.booleans()):
+                points.append([draw(st.sampled_from(_AXIS_COORDS)), 0.0])
+            else:
+                rho, angle = draw(st.floats(0.0, 2.04)), draw(st.floats(0.0, 2.0 * math.pi))
+                points.append([rho * math.cos(angle), rho * math.sin(angle)])
+        weight = st.one_of(st.sampled_from((0.25, 0.5)), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)), dtype=float)
+        pairs = [] if n < 2 else draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+        edges = np.array(sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j}), dtype=np.int64).reshape(-1, 2)
+        cloud = make_cloud(np.array(points, dtype=float).reshape(n, 2), radius=2.05)
+        group.append((GeomGraph(cloud=cloud, seed=0, edges=edges), weights))
+    return group
+
+
+def _least_crossing_level(graph, weights, spec):
+    """Brute force: the least weight w at which the crossing holds on the vertices weighted at most w."""
+    center = spec.center.tolist() if spec.center is not None else [0.0, 0.0]
+    d2 = [sum((x - c) * (x - c) for x, c in zip(p, center)) for p in graph.cloud.positions.tolist()]
+    r = spec.r
+    allowed = [v for v in range(graph.n_vertices) if spec.kind == "crossing" or d2[v] <= (3 * r) * (3 * r)]
+    inner = [v for v in range(graph.n_vertices) if d2[v] <= r * r]
+    outer = [v for v in range(graph.n_vertices) if d2[v] > (2 * r) * (2 * r)]
+    for w in sorted(set(weights.tolist())):
+        keep = [v for v in allowed if weights[v] <= w]
+        if reference.bfs_path_exists(graph.n_vertices, graph.edges.tolist(), inner, outer, keep):
+            return w
+    return math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_groups(), st.sampled_from(["crossing", "local_origin", "local_shifted"]))
+def test_thresholds_many_equals_brute_force_per_graph(group, which):
+    spec = {
+        "crossing": crossing_spec(1.0),
+        "local_origin": local_crossing_spec(0.5),
+        "local_shifted": local_crossing_spec(0.5, center=_LOCAL_CENTER),
+    }[which]
+    graphs = [g for g, _ in group]
+    weights = [w for _, w in group]
+    got = spec.thresholds_many(graphs, weights)
+    assert got.dtype == float and got.shape == (len(graphs),)
+    assert got.tolist() == [_least_crossing_level(g, w, spec) for g, w in group]
+    # without weights the levels are the events themselves
+    flat = spec.thresholds_many(graphs, [np.zeros(g.n_vertices) for g in graphs])
+    assert (flat < math.inf).tolist() == spec.evaluate_many(graphs).tolist()
+
+
+# dyadic lattice coordinates, so endpoints exactly on a ball's sphere are common
+_LATTICE = tuple(k * 0.25 for k in range(-6, 7))
+
+
+@st.composite
+def _long_edge_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    length = draw(st.sampled_from((0.5, 1.0, 1.25, 2.0)))
+    # an offset of exactly the cut length: along an axis, or a 3-4-5 triangle for 1.25
+    tie = np.zeros(d)
+    if length == 1.25 and d > 1:
+        tie[:2] = (0.75, 1.0)
+    else:
+        tie[0] = length
+    graphs = []
+    for n in draw(st.lists(st.integers(0, 8), max_size=5)):
+        pos = np.array(draw(st.lists(st.sampled_from(_LATTICE), min_size=n * d, max_size=n * d)), dtype=float)
+        pos = pos.reshape(n, d)
+        if n >= 2 and draw(st.booleans()):
+            pos[1] = pos[0] + tie
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = np.array([p for p, k in zip(pairs, keep) if k], dtype=np.int64).reshape(-1, 2)
+        graphs.append(GeomGraph(cloud=make_cloud(pos, radius=4.0), seed=0, edges=edges))
+    balls = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(_LATTICE), min_size=d, max_size=d),
+                st.sampled_from((0.25, 0.5, 1.0, 1.25)),
+                st.booleans(),
+            ),
+            max_size=4,
+        )
+    )
+    return graphs, length, balls
+
+
+@settings(max_examples=300, deadline=None)
+@given(_long_edge_cases())
+def test_long_edge_hits_equals_brute_force(case):
+    graphs, length, balls = case
+    got = long_edge_hits(graphs, length, balls)
+    assert got.dtype == bool and got.shape == (len(graphs), len(balls))
+
+    def hit(graph, center, radius, closed):
+        pos = graph.cloud.positions.tolist()
+        d2 = [sum((x - c) * (x - c) for x, c in zip(p, center)) for p in pos]
+        inside = [v <= radius * radius if closed else v < radius * radius for v in d2]
+        for i, j in graph.edges.tolist():
+            if math.sqrt(sum((a - b) * (a - b) for a, b in zip(pos[i], pos[j]))) > length and (inside[i] or inside[j]):
+                return True
+        return False
+
+    assert got.tolist() == [[hit(g, *ball) for ball in balls] for g in graphs]
+    with mock.patch.object(events, "_HIT_CELLS", 1):  # one ball per chunk
+        assert long_edge_hits(graphs, length, balls).tolist() == got.tolist()
+    if graphs:  # a center of another dimension would broadcast silently
+        with pytest.raises(ConfigurationError, match="ball center"):
+            long_edge_hits(graphs, length, [([0.0] * (graphs[0].cloud.dimension + 1), 1.0, False)])
