@@ -49,6 +49,7 @@ from .estimators import (
     truncation_bound,
 )
 from .events import (
+    EVENT_KINDS,
     WINDOW_MARGIN,
     EventSpec,
     crossing_spec,
@@ -61,9 +62,6 @@ from .models import validate_framework
 from .ppp import ball_window, sample_ppp
 from .renorm import BRACKET_MAX_ITER, bracket_crossing_intensity, renorm_table
 from .rng import mix
-
-EVENT_KINDS = ("long_edge", "crossing", "local_crossing", "renorm_long_edge")
-
 
 def fmt(value) -> str:
     """One CSV cell.  Floats at 9 significant digits, bools as true/false."""

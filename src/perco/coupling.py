@@ -22,7 +22,7 @@ from .models import ModelSpec
 from .ppp import PointCloud, Window, sample_ppp
 from .rng import mix, point_uniforms
 
-from .estimators import Estimate, fold, run_replicates, sample_groups
+from .estimators import Estimate, fold, run_replicates
 
 
 @dataclass(frozen=True)
@@ -156,19 +156,16 @@ def check_thinning_bounds(
     event = long_edge_spec(r, 1.0)
     window = event.window(model.d)
 
-    def pair(rep_seed: int) -> CoupledPair:
+    def sample(rep_seed: int) -> CoupledPair:
         return thin_pair(window, lam_low, lam_high, rep_seed)
 
-    def block(seeds):
-        rows = []
-        for group, pairs in sample_groups(pair, seeds, points=lambda p: len(p.high) + len(p.low)):
-            low_graphs, high_graphs = _coupled_blocks(pairs, model, group)
-            # a low-only hit would contradict the induced-subgraph construction;
-            # it is counted, not raised, so full runs report every violation
-            rows.append(np.stack([event.evaluate_many(low_graphs), event.evaluate_many(high_graphs)], axis=1))
-        return np.concatenate(rows)
+    def decide(seeds, pairs):
+        low_graphs, high_graphs = _coupled_blocks(pairs, model, seeds)
+        # a low-only hit would contradict the induced-subgraph construction;
+        # it is counted, not raised, so full runs report every violation
+        return np.stack([event.evaluate_many(low_graphs), event.evaluate_many(high_graphs)], axis=1)
 
-    rows = run_replicates(block, n, seed, threads)
+    rows = run_replicates(sample, decide, n, seed, threads, points=lambda p: len(p.high) + len(p.low))
     low_est, high_est = fold(rows)
     exact_violations = int(np.sum(rows[:, 0] & ~rows[:, 1]))
     ratio_sq = (lam_low / lam_high) ** 2

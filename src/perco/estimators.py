@@ -2,17 +2,18 @@
 
 Replicates are independent: each gets a fresh point cloud and fresh edge
 randomness derived from (master seed, replicate index), so results do not
-depend on the execution schedule.  ``run_replicates`` is the one replicate
-loop: it derives every replicate seed, hands the seeds to the check in fixed
-blocks of ``_BLOCK``, and returns what each replicate computes (event
-indicators, or a threshold) as an (n, k) array in replicate-index order;
+depend on the execution schedule.  ``run_replicates(sample, decide, ...)`` is
+the one replicate loop: it derives every replicate seed, samples each
+replicate on its own seed, and hands the samples to ``decide`` in groups of
+about ``_GROUP_POINTS`` points within fixed blocks of ``_BLOCK`` seeds, so
+that memory stays bounded; it returns what each replicate computes (event
+indicators, or a threshold) as an (n, k) array in replicate-index order.
 ``fold`` turns indicator columns into Wilson estimates.  Every Monte Carlo
 check goes through the pair, which makes multi-threaded runs byte-identical
-to single-threaded ones.  A block samples its clouds one replicate at a time,
-each on its own key, then builds them with one shared screen
-(``graph.build_graphs``) and decides each event or ball once over them
-(``EventSpec.evaluate_many``, ``events.long_edge_hits``), in groups of about
-``_GROUP_POINTS`` points (``sample_groups``) so that memory stays bounded.
+to single-threaded ones.  The graph checks sample through ``graph_rows``,
+which builds each group of clouds with one shared screen
+(``graph.build_graphs``), so that a decision takes each event or ball once
+over them (``EventSpec.evaluate_many``, ``events.long_edge_hits``).
 
 The Campbell-formula routines compute expected edge counts as deterministic
 integrals against intensity^2; they power calibration tests, the Markov
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, InternalConsistencyError
 from .events import EventSpec, local_crossing_spec, long_edge_hits, long_edge_spec, long_edge_window
 from .graph import _TILE_ROWS, GeomGraph, build_graph, build_graphs
 from .models import ModelSpec, mark_averaged_connection, max_range, phibar_breakpoints
@@ -96,26 +97,54 @@ def replicate_seed(seed: int, index: int) -> int:
     return int(mix(seed, "rep", index))
 
 
-def run_replicates(fn, n: int, seed: int, threads: int = 1) -> np.ndarray:
-    """Evaluate replicates 0..n-1 in blocks: fn(seeds) on consecutive blocks of _BLOCK replicate seeds.
+def run_replicates(sample, decide, n: int, seed: int, threads: int = 1, points=len) -> np.ndarray:
+    """Replicates 0..n-1 as an (n, k) array of rows in replicate-index order.
 
-    ``seeds`` lists replicate_seed(seed, i) for the block's indices i.  fn
-    returns an array of one row per seed, with one value or k values in a
-    row; the result is the (n, k) array of the rows in replicate-index order:
-    event indicators give a bool array, per-replicate thresholds a float one.
-    With ``threads`` > 1 the blocks run on a thread pool; the blocks, and so
-    the result, are the same at every thread count.
+    Replicate i draws ``sample(replicate_seed(seed, i))``.  The seeds run in
+    consecutive blocks of _BLOCK; within a block the samples gather in groups
+    that close once they hold _GROUP_POINTS points, counted by
+    ``points(sample)``, and ``decide(seeds, samples)`` returns one row per
+    sample of a group, with one value or k values in a row: event
+    indicators give a bool array, per-replicate thresholds a float one.  So
+    a block of large replicates holds a group or two of samples, and what
+    is built from them, at a time.  With ``threads`` > 1 the blocks run on a
+    thread pool; the blocks, and so the result, are the same at every
+    thread count.
     """
     if n < 1:
         raise ConfigurationError("need at least one replicate")
     seeds = [replicate_seed(seed, i) for i in range(n)]
     blocks = [seeds[k : k + _BLOCK] for k in range(0, n, _BLOCK)]
+
+    def block(block_seeds):
+        rows, group, samples, total = [], [], [], 0
+        for i, s in enumerate(block_seeds, 1):
+            group.append(s)
+            samples.append(sample(s))
+            total += points(samples[-1])
+            if total >= _GROUP_POINTS or i == len(block_seeds):
+                decided = np.asarray(decide(group, samples))
+                if decided.ndim not in (1, 2) or len(decided) != len(group):
+                    raise InternalConsistencyError(
+                        f"a decision returned shape {decided.shape} for {len(group)} replicates; need one row each"
+                    )
+                rows.append(decided.reshape(len(group), -1))
+                group, samples, total = [], [], 0
+        return np.concatenate(rows)
+
     if threads <= 1:
-        rows = [fn(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(fn, blocks))
-    return np.concatenate([np.asarray(r).reshape(len(block), -1) for r, block in zip(rows, blocks)])
+        return np.concatenate([block(b) for b in blocks])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(block, blocks)))
+
+
+def graph_rows(model: ModelSpec, intensity: float, window: Window, decide, n: int, seed: int, threads: int = 1):
+    """run_replicates over graphs: ``decide(seeds, graphs)`` on each group of replicate clouds, built together."""
+    return run_replicates(
+        lambda s: sample_ppp(intensity=intensity, window=window, seed=s),
+        lambda seeds, clouds: decide(seeds, build_graphs(clouds, model, seeds)),
+        n, seed, threads,
+    )
 
 
 def fold(indicators: np.ndarray, confidence: float = DEFAULT_CONFIDENCE) -> list[Estimate]:
@@ -124,40 +153,9 @@ def fold(indicators: np.ndarray, confidence: float = DEFAULT_CONFIDENCE) -> list
     return [make_estimate(int(hits), trials, confidence) for hits in np.count_nonzero(indicators, axis=0)]
 
 
-def sample_groups(sample, rep_seeds, points=len):
-    """Sample each replicate on its own seed, ``sample(seed)``, in order; yield (seeds, samples) groups.
-
-    A group closes once its samples hold _GROUP_POINTS points, counted by
-    ``points(sample)``, so a block of large replicates holds a group or two
-    of samples, and what is built from them, at a time rather than all of
-    its replicates.
-    """
-    seeds, samples, total = [], [], 0
-    for s in rep_seeds:
-        seeds.append(s)
-        samples.append(sample(s))
-        total += points(samples[-1])
-        if total >= _GROUP_POINTS:
-            yield seeds, samples
-            seeds, samples, total = [], [], 0
-    if seeds:
-        yield seeds, samples
-
-
-def sample_event_graphs(model: ModelSpec, intensity: float, window: Window, rep_seeds):
-    """Yield (seeds, graphs) groups: each cloud sampled on its own key, each group built together."""
-    for seeds, clouds in sample_groups(lambda s: sample_ppp(intensity=intensity, window=window, seed=s), rep_seeds):
-        yield seeds, build_graphs(clouds, model, seeds)
-
-
 def sample_event_graph(model: ModelSpec, intensity: float, window: Window, rep_seed: int) -> GeomGraph:
     cloud = sample_ppp(intensity=intensity, window=window, seed=rep_seed)
     return build_graph(cloud, model, seed=rep_seed)
-
-
-def _event_rows(groups, specs) -> np.ndarray:
-    """Each event of ``specs`` on each graph of the (seeds, graphs) groups: one row per graph, one column per event."""
-    return np.concatenate([np.stack([spec.evaluate_many(graphs) for spec in specs], axis=1) for _, graphs in groups])
 
 
 def estimate_event(
@@ -173,11 +171,8 @@ def estimate_event(
     """Estimate the event probability over n independent replicates."""
     if window is None:
         window = event.window(model.d)
-
-    def block(seeds):
-        return _event_rows(sample_event_graphs(model, intensity, window, seeds), [event])
-
-    return fold(run_replicates(block, n, seed, threads), confidence)[0]
+    rows = graph_rows(model, intensity, window, lambda _, graphs: event.evaluate_many(graphs), n, seed, threads)
+    return fold(rows, confidence)[0]
 
 
 @dataclass(frozen=True)
@@ -514,14 +509,11 @@ def check_covering_inequality(
     # columns: the small ball, the large ball, then every covering ball, closed
     balls = [(origin, r, False), (origin, q * r, False), *((center, r, True) for center in scaled_centers)]
 
-    def block(seeds):
-        rows = []
-        for _, graphs in sample_event_graphs(model, intensity, window, seeds):
-            hits = long_edge_hits(graphs, length, balls)
-            rows.append(np.stack([hits[:, 0], hits[:, 1], hits[:, 1] & hits[:, 2:].any(axis=1)], axis=1))
-        return np.concatenate(rows)
+    def decide(_, graphs):
+        hits = long_edge_hits(graphs, length, balls)
+        return np.stack([hits[:, 0], hits[:, 1], hits[:, 1] & hits[:, 2:].any(axis=1)], axis=1)
 
-    rows = run_replicates(block, n, seed, threads)
+    rows = graph_rows(model, intensity, window, decide, n, seed, threads)
     lhs_est, rhs_est = fold(rows[:, :2])
     violations = int(np.sum(rows[:, 1] & ~rows[:, 2]))
     stat_violated = cover.count * lhs_est.ci_high < rhs_est.ci_low
@@ -582,10 +574,10 @@ def estimate_mixing_cov(
     far_event = local_crossing_spec(r, center=x)
     window = far_event.window(model.d)
 
-    def block(seeds):
-        return _event_rows(sample_event_graphs(model, intensity, window, seeds), [near_event, far_event])
+    def decide(_, graphs):
+        return np.stack([near_event.evaluate_many(graphs), far_event.evaluate_many(graphs)], axis=1)
 
-    rows = run_replicates(block, n, seed, threads)
+    rows = graph_rows(model, intensity, window, decide, n, seed, threads)
     near, far = fold(rows)
     a, b = rows.astype(float).T
     a_bar, b_bar = a.mean(), b.mean()

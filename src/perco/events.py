@@ -48,7 +48,7 @@ CROSSING = "crossing"
 LOCAL_CROSSING = "local_crossing"
 RENORM_LONG_EDGE = "renorm_long_edge"
 
-_KINDS = (LONG_EDGE, CROSSING, LOCAL_CROSSING, RENORM_LONG_EDGE)
+EVENT_KINDS = (LONG_EDGE, CROSSING, LOCAL_CROSSING, RENORM_LONG_EDGE)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class EventSpec:
     center: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in EVENT_KINDS:
             raise ConfigurationError(f"unknown event kind {self.kind!r}")
         if not (self.r > 0 and math.isfinite(self.r)):
             raise ConfigurationError(f"event scale r must be positive, got {self.r}")

@@ -93,7 +93,10 @@ class Region:
         object.__setattr__(self, "radius", float(self.radius))
 
     def contains(self, positions: np.ndarray) -> np.ndarray:
-        inside = in_closed_ball(np.atleast_2d(np.asarray(positions, dtype=float)), self.center, self.radius)
+        positions = np.atleast_2d(np.asarray(positions, dtype=float))
+        if self.center.size != positions.shape[1]:
+            raise ConfigurationError(f"region center has {self.center.size} coordinates, not {positions.shape[1]}")
+        inside = in_closed_ball(positions, self.center, self.radius)
         return inside if self.kind == "ball" else ~inside
 
 

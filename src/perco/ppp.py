@@ -199,20 +199,6 @@ class PointCloud:
     def dimension(self) -> int:
         return self.window.dimension
 
-    def point(self, i: int) -> MarkedPoint:
-        return MarkedPoint(position=self.positions[i], mark=float(self.marks[i]))
-
-    def subset(self, keep: np.ndarray) -> "PointCloud":
-        """Sub-cloud of the selected points; ids are inherited."""
-        return PointCloud(
-            window=self.window,
-            intensity=self.intensity,
-            positions=self.positions[keep],
-            marks=self.marks[keep],
-            seed=self.seed,
-            ids=self.ids[keep],
-        )
-
 
 def _uniform_in_window(window: Window, count: int, gen: np.random.Generator) -> np.ndarray:
     lower, upper = window.bounding_box()

@@ -40,13 +40,8 @@ class RadialIntegral:
 
     value: float
     verdict: str  # finite | divergent | inconclusive
-    tail_fraction: float = 0.0
     tail_exponent: float | None = None
     note: str = ""
-
-    @property
-    def finite(self) -> bool:
-        return self.verdict == FINITE
 
 
 def _segments(lower: float, upper: float, breakpoints) -> list[float]:
@@ -171,13 +166,7 @@ def radial_integral(
         )
     h_end = math.exp(intercept + slope * logr[-1])
     tail = h_end * rho_max / (-slope - 1.0)
-    value = body + tail
-    return RadialIntegral(
-        value=value,
-        verdict=FINITE,
-        tail_fraction=tail / value if value > 0 else 0.0,
-        tail_exponent=float(slope),
-    )
+    return RadialIntegral(value=body + tail, verdict=FINITE, tail_exponent=float(slope))
 
 
 def _cap_volume(d: int, radius: float, a):

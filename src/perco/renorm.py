@@ -26,7 +26,7 @@ import numpy as np
 
 from .coupling import retention_uniforms
 from .errors import ConfigurationError, ContractError, InternalConsistencyError
-from .estimators import Estimate, _event_rows, fold, replicate_seed, run_replicates, sample_event_graphs
+from .estimators import Estimate, fold, graph_rows, replicate_seed
 from .events import crossing_spec, local_crossing_spec, renorm_long_edge_spec
 from .models import ModelSpec
 from .ppp import unit_ball_volume
@@ -118,10 +118,10 @@ def renorm_table(
         window = f_event.window(model.d)  # also covers C(10r), G(r) and C(r)
         specs = (crossing_spec(10.0 * r), local_crossing_spec(r), crossing_spec(r), f_event)
 
-        def block(seeds):
-            return _event_rows(sample_event_graphs(model, intensity, window, seeds), specs)
+        def decide(_, graphs):
+            return np.stack([spec.evaluate_many(graphs) for spec in specs], axis=1)
 
-        outcomes = run_replicates(block, n, replicate_seed(seed, j), threads)
+        outcomes = graph_rows(model, intensity, window, decide, n, replicate_seed(seed, j), threads)
         violations += int(np.sum(outcomes[:, 1] & ~outcomes[:, 2]))
         lhs_est, g_est, c_est, f_est = fold(outcomes)
         mixing = 0.0 if c_mix is None else c_mix * intensity * r ** -zeta
@@ -206,13 +206,10 @@ def crossing_thresholds(
     spec = crossing_spec(r_probe)
     window = spec.window(model.d)
 
-    def thresholds(seeds):
-        return np.concatenate([
-            spec.thresholds_many(graphs, [retention_uniforms(g.cloud, s) for s, g in zip(group, graphs)])
-            for group, graphs in sample_event_graphs(model, lam_max, window, seeds)
-        ])
+    def decide(seeds, graphs):
+        return spec.thresholds_many(graphs, [retention_uniforms(g.cloud, s) for s, g in zip(seeds, graphs)])
 
-    return run_replicates(thresholds, n, seed, threads)[:, 0]
+    return graph_rows(model, lam_max, window, decide, n, seed, threads)[:, 0]
 
 
 def bracket_crossing_intensity(

@@ -7,6 +7,7 @@ auditable checklist.  Statistical gates run on pinned seeds; tolerances are
 margin and a broken invariant cannot hide.
 """
 
+import hashlib
 import math
 import sys
 import time
@@ -455,3 +456,31 @@ def test_criterion_11_determinism_across_threads(tmp_path):
     ok = not unstable
     report(11, "byte-identical result bodies at 1/2/8 threads", ok,
            "all 10 subcommands stable" if ok else "unstable: " + ", ".join(unstable))
+
+
+# first 16 hex digits of the sha256 of each DETERMINISM_CONFIGS result body; a change
+# that alters a body on purpose edits its digest here and lists old -> new in CHANGES.md
+BODY_DIGESTS = {
+    "estimate": "75d43f18df064f2b",
+    "probe-h": "1d8a143c218cf2e7",
+    "check-lemma1": "1dd781bb40d95d91",
+    "check-lemma2": "20eac9a8e40ae81f",
+    "mixing-cov": "1796d2f1bc17d1ef",
+    "renorm-table": "66462211cf8a1049",
+    "bracket-lambda": "6d01997701afed81",
+    "validate-model": "53df7615741907c3",
+    "dump-graph": "1568fd84d28c4eff",
+}
+
+
+def test_result_bodies_match_recorded_digests(tmp_path):
+    assert set(BODY_DIGESTS) == set(DETERMINISM_CONFIGS)
+    got = {}
+    for sub, text in DETERMINISM_CONFIGS.items():
+        cfg = tmp_path / f"{sub}.cfg"
+        cfg.write_text(text)
+        for threads in (1, 3):
+            out = tmp_path / f"{sub}-{threads}.out"
+            assert cli.run(sub, str(cfg), threads=threads, out=str(out)) == 0
+            got[sub, threads] = hashlib.sha256(result_body(out).encode()).hexdigest()[:16]
+    assert got == {(sub, t): digest for sub, digest in BODY_DIGESTS.items() for t in (1, 3)}

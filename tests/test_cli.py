@@ -314,6 +314,12 @@ class TestCliErrors:
         assert cli.main(["estimate", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "event.c" in capsys.readouterr().err
 
+    def test_unknown_event_kind_lists_the_kinds(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BOOLEAN_CFG + "run.intensity = 1\nevent.kind = bridge\nevent.r = 1\n")
+        assert cli.main(["estimate", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "'event.kind' must be one of long_edge, crossing, local_crossing, renorm_long_edge; got 'bridge'" in err
+
     def test_budget_exceeded_exits_3_with_hint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PERCO_BUDGET_POINTS", "500")
         cfg = write_config(tmp_path, BOOLEAN_CFG + (

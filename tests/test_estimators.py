@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import perco
-from perco import coupling, estimators, renorm
+from perco import coupling, estimators
 from perco.coupling import check_thinning_bounds
-from perco.errors import ConfigurationError
+from perco.errors import ConfigurationError, InternalConsistencyError
 from perco.estimators import (
     Covering,
     _slope_fit,
@@ -199,21 +199,34 @@ def test_run_replicates_shape_and_thread_independence():
     def pair(rep_seed):
         return rep_seed % 2 == 0, rep_seed % 3 == 0
 
-    def block(seeds):
-        return [pair(s) for s in seeds]
+    def block(seeds, pairs):
+        return pairs
 
-    rows = run_replicates(block, 40, seed=17)
+    rows = run_replicates(pair, block, 40, seed=17)
     assert rows.shape == (40, 2) and rows.dtype == bool
-    assert np.array_equal(run_replicates(block, 40, seed=17, threads=3), rows)
+    assert np.array_equal(run_replicates(pair, block, 40, seed=17, threads=3), rows)
     expected = [pair(replicate_seed(17, i)) for i in range(40)]
     assert rows.tolist() == [list(row) for row in expected]
-    single = run_replicates(lambda seeds: [s % 2 == 0 for s in seeds], 40, seed=17)
+    single = run_replicates(pair, lambda seeds, _: [s % 2 == 0 for s in seeds], 40, seed=17)
     assert single.shape == (40, 1)
     assert np.array_equal(single[:, 0], rows[:, 0])
     assert [e.hits for e in fold(rows)] == [int(rows[:, 0].sum()), int(rows[:, 1].sum())]
     for n in (0, -3):
         with pytest.raises(ConfigurationError):
-            run_replicates(block, n, seed=17)
+            run_replicates(pair, block, n, seed=17)
+
+
+def test_run_replicates_needs_one_row_per_replicate():
+    # a decision with too many or too few rows is an error, not recut into n rows
+    def one(rep_seed):
+        return (rep_seed,)
+
+    with pytest.raises(InternalConsistencyError):
+        run_replicates(one, lambda seeds, _: [True] * (2 * len(seeds)), 10, seed=0)
+    with pytest.raises(InternalConsistencyError):
+        run_replicates(one, lambda seeds, _: np.ones((len(seeds) // 2, 2), dtype=bool), 10, seed=0)
+    with pytest.raises(InternalConsistencyError):
+        run_replicates(one, lambda seeds, _: np.ones((len(seeds), 1, 2), dtype=bool), 10, seed=0)
 
 
 class _Rows(Exception):
@@ -233,8 +246,8 @@ _LOOPS = {
     ),
     "estimate_mixing_cov": (estimators, lambda n, t: estimate_mixing_cov(_SOFT, 2.8, 0.2, [1.3, 0.0], n, 5, t)),
     "check_thinning_bounds": (coupling, lambda n, t: check_thinning_bounds(_SOFT, 1.2, 2.4, 1.0, n, 6, t)),
-    "renorm_table": (renorm, lambda n, t: renorm_table(_SOFT, 2.5, [0.1], n, 7, t)),
-    "crossing_thresholds": (renorm, lambda n, t: crossing_thresholds(_SOFT_WEIGHTED, 2.4, 1.0, n, 8, t)),
+    "renorm_table": (estimators, lambda n, t: renorm_table(_SOFT, 2.5, [0.1], n, 7, t)),
+    "crossing_thresholds": (estimators, lambda n, t: crossing_thresholds(_SOFT_WEIGHTED, 2.4, 1.0, n, 8, t)),
 }
 
 
@@ -248,8 +261,8 @@ def test_replicate_rows_independent_of_blocks_and_threads(loop, monkeypatch):
             check(n, threads)
         return caught.value.args[0]
 
-    def capture(fn, n, seed, threads=1):
-        raise _Rows(real(fn, n, seed, threads))
+    def capture(sample, decide, n, seed, threads=1, points=len):
+        raise _Rows(real(sample, decide, n, seed, threads, points))
 
     monkeypatch.setattr(module, "run_replicates", capture)
     monkeypatch.setattr(estimators, "MIN_COV_TRIALS", 1)

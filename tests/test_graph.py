@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,6 +221,11 @@ def test_generalized_damping_tie_excludes_endpoints_by_index():
         assert list(map(tuple, fast.edges.tolist())) == reference.naive_edges(cloud, model, k), k
 
 
+def _head(cloud: PointCloud, k: int) -> PointCloud:
+    """The cloud's first k points, with their ids."""
+    return replace(cloud, positions=cloud.positions[:k], marks=cloud.marks[:k], ids=cloud.ids[:k])
+
+
 def _graph_from_edges(positions, edges) -> GeomGraph:
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     edges = np.asarray(sorted({(min(i, j), max(i, j)) for i, j in edges if i != j}), dtype=np.int64)
@@ -307,7 +313,7 @@ def test_components_match_bfs_many_graphs():
         lam = float(gen.uniform(0.3, 2.0))
         cloud = sample_ppp(box_window([0, 0], [8, 8]), lam, seed=600 + rep)
         if len(cloud) > 500:
-            cloud = cloud.subset(np.arange(500))
+            cloud = _head(cloud, 500)
         g = build_graph(cloud, catalog(2)["plain-indicator"], seed=rep)
         pos = cloud.positions
         for _ in range(4):
@@ -354,7 +360,7 @@ def test_edge_probability_calibration_by_distance_bin():
     model = catalog(2)["plain-poly"]
     cloud = sample_ppp(box_window([0, 0], [30, 30]), 1.2, seed=42)
     keep = min(len(cloud), 1200)
-    cloud = cloud.subset(np.arange(keep))
+    cloud = _head(cloud, keep)
     g = build_graph(cloud, model, seed=5, method="exact")
     ii, jj = np.triu_indices(keep, k=1)
     diff = cloud.positions[ii] - cloud.positions[jj]
@@ -534,6 +540,18 @@ def test_connected_regions_basics():
     assert not connected_regions(empty, a, b)
     # complement region: reachable point beyond radius 1.5
     assert connected_regions(g, a, complement_region([0.0, 0.0], 1.5))
+
+
+def test_region_center_must_match_point_dimension():
+    # numpy would broadcast a center of another dimension against the coordinates
+    with pytest.raises(ConfigurationError):
+        ball_region([0.0], 1.0).contains(np.array([[0.5, 3.0], [0.5, 0.5]]))
+    with pytest.raises(ConfigurationError):
+        complement_region([0.0, 0.0, 0.0], 1.0).contains(np.array([[0.5], [2.0]]))
+    g = build_graph(_path_cloud([[0.0, 0.0], [0.9, 0.0]]), boolean_model(2, RadiusLaw(kind="constant", radius=0.5)), 0)
+    with pytest.raises(ConfigurationError):
+        connected_regions(g, ball_region([0.0], 0.3), ball_region([0.9, 0.0], 0.3))
+    assert ball_region([0.0], 1.0).contains(np.array([[0.5], [3.0]])).tolist() == [True, False]
 
 
 def test_connected_regions_restricted_semantics():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from perco.coupling import thin_pair
 from perco.errors import ConfigurationError, ResourceError
 from perco.ppp import (
     PointCloud,
@@ -101,10 +102,12 @@ def test_ids_fresh_cloud_and_subset_inheritance():
     w = box_window([0.0], [10.0])
     cloud = sample_ppp(w, 30.0, seed=5)
     assert np.array_equal(cloud.ids, np.arange(len(cloud), dtype=np.uint64))
-    keep = cloud.marks < 0.5
-    sub = cloud.subset(keep)
-    assert np.array_equal(sub.ids, cloud.ids[keep])
-    assert np.array_equal(sub.positions, cloud.positions[keep])
+    # the thinned cloud is the one sub-cloud perco makes
+    pair = thin_pair(w, 15.0, 30.0, seed=5)
+    keep = pair.retained
+    assert np.array_equal(pair.high.positions, cloud.positions) and 0 < keep.sum() < len(cloud)
+    assert np.array_equal(pair.low.ids, cloud.ids[keep])
+    assert np.array_equal(pair.low.positions, cloud.positions[keep])
     # immutability guards
     with pytest.raises(ValueError):
         cloud.positions[0, 0] = 0.0
@@ -155,9 +158,10 @@ def test_marked_point():
         MarkedPoint(position=[0.0], mark=0.0)
     with pytest.raises(ConfigurationError):
         MarkedPoint(position=[0.0], mark=1.0)
+    # tests/reference.py makes a MarkedPoint of each cloud row
     cloud = sample_ppp(box_window([0.0], [5.0]), 4.0, seed=3)
     if len(cloud):
-        q = cloud.point(0)
+        q = MarkedPoint(position=cloud.positions[0], mark=float(cloud.marks[0]))
         assert q.position[0] == cloud.positions[0, 0]
         assert q.mark == cloud.marks[0]
 
