@@ -1,10 +1,13 @@
 # End-to-end command-line workflow in a temp directory: write a config file,
 # estimate a crossing probability over a small intensity sweep, then reshape
 # the result table into plot-ready series. Demonstrates the on-disk formats
-# without touching the repository tree.
+# without touching the repository tree. The files are named relative to the
+# temp directory and shown without their timestamp line, so two runs print
+# the same bytes.
 #
 # Run with `python3 demos/cli_workflow.py`.
 
+import os
 import pathlib
 import tempfile
 
@@ -29,24 +32,27 @@ run.threads = 2
 
 def show(path, title):
     print(f"--- {title} ---")
-    print(path.read_text(), end="")
+    for line in pathlib.Path(path).read_text().splitlines(keepends=True):
+        if not line.startswith("# generated "):
+            print(line, end="")
     print()
 
 
 if __name__ == "__main__":
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        base = pathlib.Path(tmp)
-        cfg = base / "sweep.cfg"
-        cfg.write_text(CONFIG)
-        result = base / "sweep.csv"
-        plot = base / "sweep-plot.csv"
+        os.chdir(tmp)
+        try:
+            pathlib.Path("sweep.cfg").write_text(CONFIG)
 
-        rc = cli.main(["estimate", str(cfg), "--out", str(result)])
-        assert rc == 0
-        rc = cli.main(["plot-data", str(result), "--out", str(plot)])
-        assert rc == 0
+            rc = cli.main(["estimate", "sweep.cfg", "--out", "sweep.csv"])
+            assert rc == 0
+            rc = cli.main(["plot-data", "sweep.csv", "--out", "sweep-plot.csv"])
+            assert rc == 0
 
-        show(result, "estimate result")
-        show(plot, "plot-data series")
-        print("rerunning with the same seed reproduces the body byte for byte;")
-        print("pass --seed to explore other draws")
+            show("sweep.csv", "estimate result")
+            show("sweep-plot.csv", "plot-data series")
+            print("rerunning with the same seed reproduces the body byte for byte;")
+            print("pass --seed to explore other draws")
+        finally:
+            os.chdir(home)

@@ -29,9 +29,6 @@ from .estimators import Estimate, fold, run_replicates
 class CoupledPair:
     """A PPP at lam_high and its Bernoulli(lam_low/lam_high)-thinned subset."""
 
-    window: Window
-    lam_low: float
-    lam_high: float
     high: PointCloud
     retained: np.ndarray
     low: PointCloud
@@ -64,9 +61,7 @@ def thin_pair(window: Window, lam_low: float, lam_high: float, seed: int) -> Cou
     retained = retention_uniforms(high, seed) < ratio
     low = replace(high, intensity=lam_low, positions=high.positions[retained], marks=high.marks[retained],
                   ids=high.ids[retained])
-    return CoupledPair(
-        window=window, lam_low=lam_low, lam_high=lam_high, high=high, retained=retained, low=low
-    )
+    return CoupledPair(high=high, retained=retained, low=low)
 
 
 def coupled_graphs(pair: CoupledPair, model: ModelSpec, seed: int):

@@ -216,13 +216,13 @@ class TrendReport:
         return out
 
 
-def geometric_grid(r_min: float, r_max: float | None, k: int, ratio: float = 2.0):
+def geometric_grid(r_min: float, r_max: float | None, k: int):
     if k < 4:
         raise ConfigurationError("trend grid needs at least 4 scales")
     if not (r_min > 0):
         raise ConfigurationError("r_min must be positive")
     if r_max is None:
-        return tuple(r_min * ratio**i for i in range(k))
+        return tuple(r_min * 2.0**i for i in range(k))
     if not (r_max > r_min):
         raise ConfigurationError("r_max must exceed r_min")
     return tuple(np.geomspace(r_min, r_max, k))
@@ -375,6 +375,8 @@ def campbell_total_edges(model: ModelSpec, intensity: float, window: Window) -> 
     """Expected number of edges with both endpoints in the window."""
     if model.variant == "generalized":
         raise ContractError("expected-count formulas need a pairwise connection function")
+    if window.dimension != model.d:
+        raise ConfigurationError("model dimension does not match window dimension")
     # a ball's set covariance vanishes beyond its diameter; a box's raises on
     # the shifts it does not cover
     support = 2.0 * window.radius if window.kind == "ball" else math.inf
@@ -397,6 +399,8 @@ def truncation_bound(model: ModelSpec, intensity: float, window: Window, ell: fl
     eff = model.base if model.variant == "generalized" else model
     if window.kind != "ball":
         raise ConfigurationError("truncation bound is implemented for ball windows")
+    if window.dimension != eff.d:
+        raise ConfigurationError("model dimension does not match window dimension")
     if ell == 0.0:
         return 0.0
     if ell < 0 or not window.contains_ball(np.zeros(eff.d), ell):

@@ -19,7 +19,7 @@ crossing's restriction, then ``graph._meeting_level`` per graph.
 ``evaluate_many`` reads its levels as the event, and ``thresholds_many``
 reads them under vertex weights: with retention uniforms as weights, one
 build answers the crossing at every thinning of its cloud.  The one-graph
-cases are ``EventSpec.evaluate`` and ``crossing_threshold``.
+case is ``EventSpec.evaluate``.
 
 Windows are balls with an additive safety margin; evaluating an event on a
 graph whose window is too small raises WindowCoverageError rather than
@@ -277,7 +277,3 @@ def long_edge_window(reach: float, c: float, r: float, d: int, margin: float = W
     """Window for edges longer than c*r with an endpoint within reach*r of the origin: radius (reach + c + margin)*r."""
     return ball_window((reach + c + margin) * r, d=d)
 
-
-def crossing_threshold(graph: GeomGraph, r: float, weights: np.ndarray) -> float:
-    """The crossing threshold of one graph at scale r: the one-graph case of ``EventSpec.thresholds_many``."""
-    return float(crossing_spec(r).thresholds_many([graph], [weights])[0])

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .ppp import MarkedPoint, PointCloud, sphere_surface
+from .ppp import sphere_surface
 from .quadrature import DIVERGENT, FINITE, _log_rule, _unit_rule, radial_integral
 from .rng import substream
 
@@ -215,14 +215,6 @@ class RadiusLaw:
             out = self.scale * marks ** (-1.0 / self.shape)
         return float(out) if out.ndim == 0 else out
 
-    def moment(self, p: float) -> float:
-        """E[R^p]; infinite for pareto radii when p >= shape."""
-        if self.kind == "constant":
-            return self.radius**p
-        if p >= self.shape:
-            return math.inf
-        return self.scale**p * self.shape / (self.shape - p)
-
     @property
     def bound(self) -> float:
         return self.radius if self.kind == "constant" else math.inf
@@ -348,35 +340,6 @@ def pairwise_prob(model: ModelSpec, marks_a, marks_b, dists):
         if scaled.shape != shape:
             scaled = np.broadcast_to(scaled, shape)
     return model.profile(scaled / model.beta)
-
-
-def connection_prob(model: ModelSpec, a: MarkedPoint, b: MarkedPoint) -> float:
-    """Two-point connection probability; symmetric, nonincreasing in distance."""
-    if model.variant == "generalized":
-        raise ContractError(
-            "generalized models are context-dependent; use connection_prob_ctx"
-        )
-    if a.dimension != model.d or b.dimension != model.d:
-        raise ConfigurationError("point dimension does not match model dimension")
-    dist = float(np.linalg.norm(a.position - b.position))
-    return float(pairwise_prob(model, a.mark, b.mark, dist))
-
-
-def connection_prob_ctx(model: ModelSpec, a: MarkedPoint, b: MarkedPoint, context) -> float:
-    """Connection probability given the surrounding configuration.
-
-    ``context`` is a PointCloud or position array excluding a and b.  For
-    boolean/classical models the context is ignored.
-    """
-    if model.variant != "generalized":
-        return connection_prob(model, a, b)
-    base_p = connection_prob(model.base, a, b)
-    positions = context.positions if isinstance(context, PointCloud) else context
-    positions = np.asarray(positions, dtype=float).reshape(-1, model.d)
-    # context points within damping_radius of the pair midpoint
-    d2 = np.sum((positions - 0.5 * (a.position + b.position)) ** 2, axis=1)
-    n_close = int(np.count_nonzero(d2 <= model.damping_radius**2))
-    return base_p * model.damping_factor**n_close
 
 
 def pair_range(model: ModelSpec, marks_a, marks_b):
@@ -555,7 +518,6 @@ def validate_framework(
     n_samples: int = 10_000,
     seed: int = 0,
     phi=None,
-    check_integral: bool = True,
 ) -> FrameworkReport:
     """Check symmetry, distance monotonicity, range, and integrability.
 
@@ -579,7 +541,7 @@ def validate_framework(
     monotone = bool(np.all(p_ab >= p_far))
     in_range = bool(np.all((p_ab >= 0) & (p_ab <= 1)) and np.all((p_far >= 0) & (p_far <= 1)))
     checks = dict(symmetric=symmetric, monotone=monotone, in_range=in_range, n_samples=n_samples)
-    if phi is not None or not check_integral or not (symmetric and monotone and in_range):
+    if phi is not None or not (symmetric and monotone and in_range):
         summary = model.summary if phi is None else "(caller-supplied pair function)"
         return FrameworkReport(
             **checks, integral_value=None, integral_verdict="skipped", tail_exponent=None, model_summary=summary

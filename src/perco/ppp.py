@@ -51,30 +51,6 @@ def in_closed_ball(positions: np.ndarray, center, radius: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MarkedPoint:
-    """A position in R^d with a mark in the open interval (0,1)."""
-
-    position: np.ndarray
-    mark: float
-
-    def __post_init__(self):
-        position = np.atleast_1d(np.asarray(self.position, dtype=float))
-        if position.ndim != 1 or not (1 <= position.size <= MAX_DIMENSION):
-            raise ConfigurationError(f"position must have 1..{MAX_DIMENSION} coordinates")
-        if not np.all(np.isfinite(position)):
-            raise ConfigurationError("position must be finite")
-        if not (0.0 < self.mark < 1.0):
-            raise ConfigurationError(f"mark must lie strictly in (0,1), got {self.mark}")
-        position.flags.writeable = False
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "mark", float(self.mark))
-
-    @property
-    def dimension(self) -> int:
-        return self.position.size
-
-
-@dataclass(frozen=True)
 class Window:
     """Finite observation window: a ball or an axis-aligned box in R^d."""
 
@@ -133,6 +109,8 @@ class Window:
     def contains_ball(self, center, radius: float) -> bool:
         """Whether the closed ball B(center, radius) lies inside the window."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
+        if center.shape != (self.dimension,):
+            raise ConfigurationError(f"ball center needs {self.dimension} coordinates, got {center.size}")
         if self.kind == "ball":
             return float(np.linalg.norm(center - self.center)) + radius <= self.radius
         return bool(np.all(center - radius >= self.lower) and np.all(center + radius <= self.upper))

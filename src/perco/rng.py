@@ -83,14 +83,11 @@ def _keys(seed):
     seeds = np.asarray(seed)
     if seeds.ndim == 0:
         return np.uint64((mix(seed) + _GOLDEN) & _MASK64)
-    if seeds.size == 0:
-        return np.zeros(seeds.shape, dtype=np.uint64)
-    # equal seeds come in runs (a cloud's pairs), so only the run heads are sorted
-    flat = seeds.reshape(-1)
-    heads = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-    distinct, which = np.unique(flat[heads], return_inverse=True)
-    keys = np.array([(mix(int(s)) + _GOLDEN) & _MASK64 for s in distinct], dtype=np.uint64)
-    return np.repeat(keys[which], np.diff(heads, append=flat.size)).reshape(seeds.shape)
+    # mix(s) without a path is the finalizer of s mod 2**64; astype wraps a negative int64 to that residue
+    keys = seeds.astype(np.uint64)
+    _finalize(keys)
+    keys += np.uint64(_GOLDEN)
+    return keys
 
 
 def _uniforms(seed, first, *rest) -> np.ndarray:
@@ -116,8 +113,7 @@ def pair_uniforms(seed, i, j) -> np.ndarray:
 
     ``i`` and ``j`` may be arrays; the result is elementwise and symmetric
     under swapping i and j.  ``seed`` is an int or an integer array that
-    broadcasts against them, one seed per pair; ``mix`` runs once per
-    distinct seed.
+    broadcasts against them, one seed per pair.
     """
     i = np.asarray(i, dtype=np.uint64)
     j = np.asarray(j, dtype=np.uint64)

@@ -7,16 +7,71 @@ engine (which is the convention under test elsewhere).
 
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from perco.coupling import thin_pair
+from perco.errors import ConfigurationError, ContractError
 from perco.events import crossing_spec
 from perco.graph import build_graph
-from perco.models import connection_prob_ctx, pairwise_prob
-from perco.ppp import MarkedPoint
+from perco.models import ModelSpec, pairwise_prob
+from perco.ppp import MAX_DIMENSION, PointCloud
 from perco.rng import pair_uniforms
+
+
+@dataclass(frozen=True)
+class MarkedPoint:
+    """A position in R^d with a mark in the open interval (0,1)."""
+
+    position: np.ndarray
+    mark: float
+
+    def __post_init__(self):
+        position = np.atleast_1d(np.asarray(self.position, dtype=float))
+        if position.ndim != 1 or not (1 <= position.size <= MAX_DIMENSION):
+            raise ConfigurationError(f"position must have 1..{MAX_DIMENSION} coordinates")
+        if not np.all(np.isfinite(position)):
+            raise ConfigurationError("position must be finite")
+        if not (0.0 < self.mark < 1.0):
+            raise ConfigurationError(f"mark must lie strictly in (0,1), got {self.mark}")
+        position.flags.writeable = False
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "mark", float(self.mark))
+
+    @property
+    def dimension(self) -> int:
+        return self.position.size
+
+
+def connection_prob(model: ModelSpec, a: MarkedPoint, b: MarkedPoint) -> float:
+    """Two-point connection probability; symmetric, nonincreasing in distance."""
+    if model.variant == "generalized":
+        raise ContractError(
+            "generalized models are context-dependent; use connection_prob_ctx"
+        )
+    if a.dimension != model.d or b.dimension != model.d:
+        raise ConfigurationError("point dimension does not match model dimension")
+    dist = float(np.linalg.norm(a.position - b.position))
+    return float(pairwise_prob(model, a.mark, b.mark, dist))
+
+
+def connection_prob_ctx(model: ModelSpec, a: MarkedPoint, b: MarkedPoint, context) -> float:
+    """Connection probability given the surrounding configuration.
+
+    ``context`` is a PointCloud or position array excluding a and b.  For
+    boolean/classical models the context is ignored.
+    """
+    if model.variant != "generalized":
+        return connection_prob(model, a, b)
+    base_p = connection_prob(model.base, a, b)
+    positions = context.positions if isinstance(context, PointCloud) else context
+    positions = np.asarray(positions, dtype=float).reshape(-1, model.d)
+    # context points within damping_radius of the pair midpoint
+    d2 = np.sum((positions - 0.5 * (a.position + b.position)) ** 2, axis=1)
+    n_close = int(np.count_nonzero(d2 <= model.damping_radius**2))
+    return base_p * model.damping_factor**n_close
 
 
 def naive_edges(cloud, model, seed):

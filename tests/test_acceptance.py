@@ -9,8 +9,6 @@ margin and a broken invariant cannot hide.
 
 import hashlib
 import math
-import sys
-import time
 
 import numpy as np
 from scipy import stats

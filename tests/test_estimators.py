@@ -608,6 +608,22 @@ def test_truncation_bound_validation():
         truncation_bound(model, 1.0, box_window([-2, -2], [2, 2]), 1.0)
 
 
+def test_oracles_reject_a_window_of_another_dimension():
+    # the integrals would otherwise run, or broadcast, in the window's dimension instead of the model's
+    plain = catalog(d=2)["plain-indicator"]
+    cases = [
+        lambda: campbell_total_edges(plain, 1.0, ball_window(5.0, d=1)),
+        lambda: campbell_total_edges(plain, 1.0, ball_window(5.0, d=3)),
+        lambda: campbell_total_edges(plain, 1.0, box_window([0.0], [3.0])),
+        lambda: truncation_bound(catalog(d=1)["plain-indicator"], 1.0, ball_window(1.5, d=2), 1.0),
+        lambda: truncation_bound(plain, 1.0, ball_window(5.0, d=3), 1.0),
+        lambda: truncation_bound(plain, 1.0, ball_window(5.0, d=3), 0.0),
+    ]
+    for case in cases:
+        with pytest.raises(ConfigurationError, match="dimension"):
+            case()
+
+
 # ---------------------------------------------------------------- coverings
 
 

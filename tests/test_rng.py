@@ -1,6 +1,9 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from perco import rng
 from perco.rng import mix, pair_uniforms, point_uniforms, substream
 
 
@@ -111,3 +114,20 @@ def test_pair_uniforms_array_seeds_equal_scalar_seeds():
     tile = pair_uniforms(np.array([[5], [6]]), np.arange(3)[None, :], 11)
     assert np.array_equal(tile[1], pair_uniforms(6, np.arange(3), 11))
     assert pair_uniforms(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+def _seed_runs(values, dtype):
+    """Seed arrays made of runs of equal values; runs of length 1 give arrays without runs, and [] the empty array."""
+    runs = st.lists(st.tuples(values, st.integers(1, 4)), max_size=8)
+    return runs.map(lambda rs: np.repeat(np.array([v for v, _ in rs], dtype=dtype), [k for _, k in rs]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _seed_runs(st.integers(-(2**63), 2**63 - 1), np.int64),
+    _seed_runs(st.one_of(st.integers(2**64 - 2**12, 2**64 - 1), st.integers(0, 2**64 - 1)), np.uint64),
+))
+def test_array_keys_equal_mix_per_seed(seeds):
+    keys = rng._keys(seeds)
+    assert keys.dtype == np.uint64 and keys.shape == seeds.shape
+    assert keys.tolist() == [(mix(int(s)) + rng._GOLDEN) & rng._MASK64 for s in seeds]
