@@ -22,6 +22,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .models import (
+    KERNEL_KINDS,
+    MODEL_VARIANTS,
+    PROFILE_KINDS,
+    RADIUS_KINDS,
     Kernel,
     ModelSpec,
     Profile,
@@ -33,11 +37,6 @@ from .models import (
     indicator_profile,
     polynomial_profile,
 )
-
-MODEL_VARIANTS = ("boolean", "classical", "generalized")
-KERNEL_KINDS = ("plain", "product", "sum", "min")
-PROFILE_KINDS = ("indicator", "polynomial", "custom")
-RADIUS_KINDS = ("constant", "pareto")
 
 
 @dataclass

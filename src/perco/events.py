@@ -8,14 +8,16 @@ Events at scale r:
   inside B(x,3r) (no dependence on anything farther away, hence no
   truncation bias).
 * renorm long edge: an edge with an endpoint in B(0,20r) and length > r;
-  identical to the long-edge event at (20r, 1/20).
+  the long edge with reach 20 and length ratio 1, which is the long-edge
+  event at (20r, 1/20).
 
 Two predicates decide every check, each in one routine over a block of
 graphs at once.  "A long edge has an end in a ball" is ``long_edge_hits``,
-one column per open or closed ball; the long-edge event is its one-ball
-case.  "A ball connects to the outside of a larger ball" is
-``EventSpec._crossing_levels``: window checks, endpoint masks and the local
-crossing's restriction, then ``graph._meeting_level`` per graph.
+one column per open or closed ball; both long-edge kinds are its one-ball
+case, with the reach and length ratio of ``EventSpec._long_edge``.  "A ball
+connects to the outside of a larger ball" is ``EventSpec._crossing_levels``:
+window checks, endpoint masks and the local crossing's restriction, then
+``graph._meeting_level`` per graph.
 ``evaluate_many`` reads its levels as the event, and ``thresholds_many``
 reads them under vertex weights: with retention uniforms as weights, one
 build answers the crossing at every thinning of its cloud.  The one-graph
@@ -49,6 +51,7 @@ LOCAL_CROSSING = "local_crossing"
 RENORM_LONG_EDGE = "renorm_long_edge"
 
 EVENT_KINDS = (LONG_EDGE, CROSSING, LOCAL_CROSSING, RENORM_LONG_EDGE)
+_LONG_EDGE_KINDS = (LONG_EDGE, RENORM_LONG_EDGE)
 
 
 @dataclass(frozen=True)
@@ -76,16 +79,12 @@ class EventSpec:
 
     def window(self, d: int, margin: float = WINDOW_MARGIN) -> Window:
         """Simulation window implied by the policy for this event."""
-        if self.kind == LONG_EDGE:
-            return long_edge_window(1.0, self.c, self.r, d, margin)
+        if self.kind in _LONG_EDGE_KINDS:
+            return long_edge_window(*self._long_edge(), self.r, d, margin)
         if self.kind == CROSSING:
-            radius = (2.0 + margin) * self.r
-        elif self.kind == LOCAL_CROSSING:
-            shift = float(np.linalg.norm(self._center(d)))
-            radius = shift + (3.0 + margin) * self.r
-        else:
-            radius = (21.0 + margin) * self.r
-        return ball_window(radius, d=d)
+            return ball_window((2.0 + margin) * self.r, d=d)
+        shift = float(np.linalg.norm(self._center(d)))
+        return ball_window(shift + (3.0 + margin) * self.r, d=d)
 
     def truncation_radius(self) -> float:
         """Radius of the ball whose edges to the window exterior can bias the event.
@@ -93,13 +92,13 @@ class EventSpec:
         Zero means the event is decided entirely inside its policy window
         (the local crossing reads only B(x,3r), which the window contains).
         """
-        if self.kind == LONG_EDGE:
-            return self.r
-        if self.kind == CROSSING:
-            return 2.0 * self.r
-        if self.kind == LOCAL_CROSSING:
-            return 0.0
-        return 20.0 * self.r
+        if self.kind in _LONG_EDGE_KINDS:
+            return self._long_edge()[0] * self.r
+        return 2.0 * self.r if self.kind == CROSSING else 0.0
+
+    def _long_edge(self) -> tuple[float, float]:
+        """(reach, c) of a long-edge kind: an edge longer than c*r with an end within reach*r of the origin."""
+        return (1.0, self.c) if self.kind == LONG_EDGE else (20.0, 1.0)
 
     def evaluate(self, graph: GeomGraph) -> bool:
         """The event on one graph: the one-graph case of ``evaluate_many``."""
@@ -115,16 +114,11 @@ class EventSpec:
         if not graphs:
             return np.zeros(0, dtype=bool)
         block = _Block(graphs)
-        if self.kind == LONG_EDGE:
-            _require_ball(block.windows, block.origin, (1.0 + self.c) * self.r, "long-edge event")
-            return block.long_edge_hits(self.c * self.r, [(block.origin, self.r, False)])[:, 0]
-        if self.kind == RENORM_LONG_EDGE:
-            # endpoint-first, so its identity with the (20r, 1/20) long-edge event is a real cross-check
-            _require_ball(block.windows, block.origin, 21.0 * self.r, "renorm long-edge event")
-            near = np.sum(block.positions**2, axis=1) < (20.0 * self.r) ** 2
-            e = block.edges[near[block.edges[:, 0]] | near[block.edges[:, 1]]]
-            diff = block.positions[e[:, 0]] - block.positions[e[:, 1]]
-            return block._any(e[np.sum(diff * diff, axis=1) > self.r * self.r, 0])
+        if self.kind in _LONG_EDGE_KINDS:
+            reach, c = self._long_edge()
+            what = "long-edge event" if self.kind == LONG_EDGE else "renorm long-edge event"
+            _require_ball(block.windows, block.origin, (reach + c) * self.r, what)
+            return block.long_edge_hits(c * self.r, [(block.origin, reach * self.r, False)])[:, 0]
         return self._crossing_levels(block) < math.inf
 
     def thresholds_many(self, graphs, weights) -> np.ndarray:

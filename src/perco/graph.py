@@ -63,7 +63,7 @@ from .models import ModelSpec, max_range, pair_range, pairwise_prob
 from .ppp import PointCloud, in_closed_ball
 from .rng import _MASK64, pair_uniforms
 
-DEFAULT_PAIR_BUDGET = 200_000_000
+DEFAULT_PAIR_BUDGET = 200_000_000  # the pair cap: pair evaluations or candidates one build may take, read per call
 _CHUNK = 2_000_000  # kd-tree candidate block size, bounds peak memory
 _TILE_ROWS = 32  # rows per tile of the exact sweep
 _MERGE_BLOCK = 256  # edges converted to Python ints at a time by _meeting_level
@@ -189,16 +189,16 @@ def _tile_squared_distances(coords: np.ndarray, i0: int, i1: int) -> np.ndarray:
     return _sum_squares([np.subtract.outer(x[i0:i1], x[i0:]) for x in coords])
 
 
-def _check_pair_budget(n: int, budget: int) -> None:
+def _check_pair_budget(n: int) -> None:
     total = n * (n - 1) // 2
-    if total > budget:
+    if total > DEFAULT_PAIR_BUDGET:
         raise ResourceError(
-            f"exact pair sweep needs {total} pair evaluations, budget is {budget}; "
-            "shrink the window, lower the intensity, or pass a larger pair_budget to build_graph"
+            f"exact pair sweep needs {total} pair evaluations, the pair cap DEFAULT_PAIR_BUDGET is "
+            f"{DEFAULT_PAIR_BUDGET}; shrink the window or lower the intensity"
         )
 
 
-def _sweep_tiles(cloud: PointCloud, model: ModelSpec, seed: int, budget: int):
+def _sweep_tiles(cloud: PointCloud, model: ModelSpec, seed: int):
     """The exact sweep: pairs (i < j) that pass the base screen, one tile of _TILE_ROWS rows at a time.
 
     Tile rows i0:i1 meet columns i0:n, so every pair i < j is in exactly one
@@ -206,7 +206,7 @@ def _sweep_tiles(cloud: PointCloud, model: ModelSpec, seed: int, budget: int):
     entries at or below the diagonal are evaluated and then dropped.
     """
     n = len(cloud)
-    _check_pair_budget(n, budget)
+    _check_pair_budget(n)
     coords = np.ascontiguousarray(cloud.positions.T)
     marks, ids = cloud.marks, cloud.ids
     for i0 in range(0, n - 1, _TILE_ROWS):
@@ -220,7 +220,7 @@ def _sweep_tiles(cloud: PointCloud, model: ModelSpec, seed: int, budget: int):
         yield r + i0, c + i0, u[r, c], probs[r, c]
 
 
-def _layered_blocks(cloud: PointCloud, model: ModelSpec, cutoff: float, budget: int):
+def _layered_blocks(cloud: PointCloud, model: ModelSpec, cutoff: float):
     """Candidate pairs (i < j) from one kd-tree per dyadic mark class.
 
     Class k holds the marks in [2^-(k+1), 2^-k).  The connection range does
@@ -245,15 +245,15 @@ def _layered_blocks(cloud: PointCloud, model: ModelSpec, cutoff: float, budget: 
     members = np.split(order, starts)
     trees = [cKDTree(pos[m]) for m in members]
     links = [(a, b) for a in range(len(members)) for b in range(a, len(members))]
-    if n * (n - 1) // 2 > budget:  # otherwise no count can exceed the budget
+    if n * (n - 1) // 2 > DEFAULT_PAIR_BUDGET:  # otherwise no count can exceed the cap
         n_candidates = 0
         for a, b in links:
             found = int(trees[a].count_neighbors(trees[b], ranges[a, b]))
             n_candidates += found if a != b else (found - members[a].size) // 2
-        if n_candidates > budget:
+        if n_candidates > DEFAULT_PAIR_BUDGET:
             raise ResourceError(
-                f"range search finds {n_candidates} candidate pairs, budget is {budget}; "
-                "shrink the window, lower the intensity, or pass a larger pair_budget to build_graph"
+                f"range search finds {n_candidates} candidate pairs, the pair cap DEFAULT_PAIR_BUDGET is "
+                f"{DEFAULT_PAIR_BUDGET}; shrink the window or lower the intensity"
             )
     # class pairs are gathered into blocks of about _CHUNK pairs, so the
     # screen runs a few times per build rather than once per class pair
@@ -275,7 +275,7 @@ def _layered_blocks(cloud: PointCloud, model: ModelSpec, cutoff: float, budget: 
             pending_i, pending_j, size = [], [], 0
 
 
-def _screen_shared(clouds: list, model: ModelSpec, seeds: list, budget: int) -> list:
+def _screen_shared(clouds: list, model: ModelSpec, seeds: list) -> list:
     """The exact screen of clouds that each fit in one tile, run once over all of them.
 
     The clouds are concatenated and every within-cloud pair i < j is listed by
@@ -286,7 +286,7 @@ def _screen_shared(clouds: list, model: ModelSpec, seeds: list, budget: int) -> 
     """
     sizes = np.array([len(cloud) for cloud in clouds], dtype=np.int64)
     for n in sizes.tolist():
-        _check_pair_budget(n, budget)
+        _check_pair_budget(n)
     ends = np.cumsum(sizes)
     starts = ends - sizes
     owner = np.repeat(np.arange(len(clouds)), sizes)  # the cloud of each point
@@ -305,19 +305,19 @@ def _screen_shared(clouds: list, model: ModelSpec, seeds: list, budget: int) -> 
     return [(edges[a:b], u[a:b], probs[a:b]) for a, b in zip([0, *cut[:-1]], cut)]
 
 
-def _screen_alone(cloud: PointCloud, model: ModelSpec, seed: int, method: str, budget: int):
+def _screen_alone(cloud: PointCloud, model: ModelSpec, seed: int, method: str):
     """One cloud's base-screened (edges, u, p), the edges in lexicographic order.
 
     The tile sweep yields its pairs in that order; the kd-tree candidates
     are screened and then sorted.
     """
     if method == "exact":
-        screened = _sweep_tiles(cloud, model, seed, budget)
+        screened = _sweep_tiles(cloud, model, seed)
     else:
         coords = np.ascontiguousarray(cloud.positions.T)
         screened = (
             _screen_pairs(coords, cloud.marks, cloud.ids, model, seed, ii, jj)
-            for ii, jj in _layered_blocks(cloud, model, max_range(model), budget)
+            for ii, jj in _layered_blocks(cloud, model, max_range(model))
         )
     ii, jj, u, probs = (np.concatenate(parts) for parts in zip(_EMPTY_SCREEN, *screened))
     if method != "exact":
@@ -327,14 +327,14 @@ def _screen_alone(cloud: PointCloud, model: ModelSpec, seed: int, method: str, b
     return np.stack([ii, jj], axis=1), u, probs
 
 
-def build_graphs(clouds, model: ModelSpec, seeds, method: str = "auto", pair_budget: int | None = None) -> list:
+def build_graphs(clouds, model: ModelSpec, seeds, method: str = "auto") -> list:
     """Build the connection graph of each cloud with its own seed; one GeomGraph per cloud, in order.
 
-    Each graph is exactly ``build_graph(cloud, model, seed, method,
-    pair_budget)``.  Two or more clouds on the exact path that each fit in
-    one tile (at most _TILE_ROWS points) share one screen over their
-    within-cloud pairs, which spares small replicates the per-call cost of a
-    sweep each; other clouds keep their own tile sweep or kd-tree search.
+    Each graph is exactly ``build_graph(cloud, model, seed, method)``.  Two
+    or more clouds on the exact path that each fit in one tile (at most
+    _TILE_ROWS points) share one screen over their within-cloud pairs, which
+    spares small replicates the per-call cost of a sweep each; other clouds
+    keep their own tile sweep or kd-tree search.
     Damping is applied per cloud, since another cloud's points are no
     context.
     """
@@ -343,18 +343,17 @@ def build_graphs(clouds, model: ModelSpec, seeds, method: str = "auto", pair_bud
     clouds, seeds = list(clouds), list(seeds)
     if len(clouds) != len(seeds):
         raise ConfigurationError("build_graphs needs one seed per cloud")
-    budget = DEFAULT_PAIR_BUDGET if pair_budget is None else int(pair_budget)
     paths = [_build_path(cloud, model, method) for cloud in clouds]
     # a lone small cloud is one tile, which costs less than listing its pairs
     shared = [k for k, path in enumerate(paths) if path == "exact" and len(clouds[k]) <= _TILE_ROWS]
     screens = {}
     if len(shared) > 1:
-        together = _screen_shared([clouds[k] for k in shared], model, [seeds[k] for k in shared], budget)
+        together = _screen_shared([clouds[k] for k in shared], model, [seeds[k] for k in shared])
         screens = dict(zip(shared, together))
     graphs = []
     for k, (cloud, seed, path) in enumerate(zip(clouds, seeds, paths)):
         # a cloud screened on its own is screened here, so its uniforms go as soon as its graph is built
-        edges, u, probs = screens.pop(k) if k in screens else _screen_alone(cloud, model, seed, path, budget)
+        edges, u, probs = screens.pop(k) if k in screens else _screen_alone(cloud, model, seed, path)
         if model.variant == "generalized" and edges.size:
             edges = edges[_damped(model, cloud.positions, edges[:, 0], edges[:, 1], u, probs)]
         graphs.append(GeomGraph(cloud=cloud, seed=seed, edges=edges))
@@ -374,13 +373,7 @@ def _build_path(cloud: PointCloud, model: ModelSpec, method: str) -> str:
     return method
 
 
-def build_graph(
-    cloud: PointCloud,
-    model: ModelSpec,
-    seed: int,
-    method: str = "auto",
-    pair_budget: int | None = None,
-) -> GeomGraph:
+def build_graph(cloud: PointCloud, model: ModelSpec, seed: int, method: str = "auto") -> GeomGraph:
     """Build the connection graph; deterministic given (cloud, model, seed).
 
     method "exact" screens all pairs, _TILE_ROWS rows of the upper triangle
@@ -391,7 +384,7 @@ def build_graph(
     "exact" otherwise.  Both paths give identical edge sets whenever "grid"
     applies.  This is the one-cloud case of ``build_graphs``.
     """
-    return build_graphs([cloud], model, [seed], method, pair_budget)[0]
+    return build_graphs([cloud], model, [seed], method)[0]
 
 
 def _meeting_level(n: int, edges: np.ndarray, in_a, in_b, weights=None, through=None) -> float:

@@ -143,6 +143,11 @@ _KERNEL_FORMULAS = {
     "sum": "g(w,v) = 1/(w+v)",
     "min": "g(w,v) = 1/max(w,v)",
 }
+# the kind names a config may give, in the order its error messages list them
+MODEL_VARIANTS = ("boolean", "classical", "generalized")
+KERNEL_KINDS = tuple(_KERNEL_FORMULAS)
+PROFILE_KINDS = ("indicator", "polynomial", "custom")
+RADIUS_KINDS = ("constant", "pareto")
 
 
 @dataclass(frozen=True)
@@ -513,38 +518,32 @@ class FrameworkReport:
         return out
 
 
-def validate_framework(
-    model: ModelSpec,
-    n_samples: int = 10_000,
-    seed: int = 0,
-    phi=None,
-) -> FrameworkReport:
-    """Check symmetry, distance monotonicity, range, and integrability.
+def validate_framework(model: ModelSpec, n_samples: int = 10_000, seed: int = 0) -> FrameworkReport:
+    """Check symmetry, distance monotonicity, range, and integrability of the model's ``pairwise_prob``.
 
-    ``phi`` overrides the model's two-point function (for counterexample
-    testing); the integral is then skipped because no mark average is
-    available for arbitrary callables.
+    The three sampled checks compare pairwise_prob at n_samples random
+    (marks, distance) draws: swapped marks, a distance up to ten times
+    larger, and the range [0, 1].  The integral of phibar over R^d is
+    computed only when all three pass; otherwise it is reported as skipped.
     """
     if model.variant == "generalized":
         raise ContractError("validate the classical base of a generalized model")
-    pair = phi if phi is not None else (lambda s, t, r: pairwise_prob(model, s, t, r))
     gen = substream(seed, "framework")
     scale = max(phibar_breakpoints(model) or [1.0])
     s = gen.uniform(size=n_samples).clip(1e-12, 1 - 1e-12)
     t = gen.uniform(size=n_samples).clip(1e-12, 1 - 1e-12)
     r = scale * np.exp(gen.uniform(math.log(1e-3), math.log(1e3), size=n_samples))
-    p_ab = np.asarray(pair(s, t, r), dtype=float)
-    p_ba = np.asarray(pair(t, s, r), dtype=float)
+    p_ab = np.asarray(pairwise_prob(model, s, t, r), dtype=float)
+    p_ba = np.asarray(pairwise_prob(model, t, s, r), dtype=float)
     symmetric = bool(np.array_equal(p_ab, p_ba))
     r2 = r * np.exp(gen.uniform(math.log(1.0), math.log(10.0), size=n_samples))
-    p_far = np.asarray(pair(s, t, r2), dtype=float)
+    p_far = np.asarray(pairwise_prob(model, s, t, r2), dtype=float)
     monotone = bool(np.all(p_ab >= p_far))
     in_range = bool(np.all((p_ab >= 0) & (p_ab <= 1)) and np.all((p_far >= 0) & (p_far <= 1)))
     checks = dict(symmetric=symmetric, monotone=monotone, in_range=in_range, n_samples=n_samples)
-    if phi is not None or not (symmetric and monotone and in_range):
-        summary = model.summary if phi is None else "(caller-supplied pair function)"
+    if not (symmetric and monotone and in_range):
         return FrameworkReport(
-            **checks, integral_value=None, integral_verdict="skipped", tail_exponent=None, model_summary=summary
+            **checks, integral_value=None, integral_verdict="skipped", tail_exponent=None, model_summary=model.summary
         )
     res = radial_integral(
         lambda rho: mark_averaged_connection(model, rho),

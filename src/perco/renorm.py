@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import retention_uniforms
-from .errors import ConfigurationError, ContractError, InternalConsistencyError
+from .errors import ConfigurationError, ContractError
 from .estimators import Estimate, fold, graph_rows, replicate_seed
 from .events import crossing_spec, local_crossing_spec, renorm_long_edge_spec
 from .models import ModelSpec
@@ -182,13 +182,13 @@ class BracketResult:
         return out
 
 
-def default_probe_scale(model: ModelSpec, lam_max: float, budget: int = BRACKET_POINT_BUDGET) -> float:
+def default_probe_scale(model: ModelSpec, lam_max: float) -> float:
     """Largest scale whose crossing window stays within the point budget at lam_max."""
     if lam_max <= 0:
         raise ConfigurationError("lam_max must be positive")
     d = model.d
     window_factor = crossing_spec(1.0).window(d).radius  # the crossing window's radius over r
-    return (budget / (lam_max * unit_ball_volume(d))) ** (1.0 / d) / window_factor
+    return (BRACKET_POINT_BUDGET / (lam_max * unit_ball_volume(d))) ** (1.0 / d) / window_factor
 
 
 def crossing_thresholds(
@@ -231,10 +231,9 @@ def bracket_crossing_intensity(
     and reduces it to its crossing threshold (``EventSpec.thresholds_many``
     of its retention uniforms); the thinned graph at lam crosses iff the
     threshold is below lam / lam_max, the strict comparison thin_pair makes.
-    Each visited intensity is then a count over the n thresholds.  The
-    empirical frequencies are exactly monotone; an inversion indicates a
-    seeding bug and raises.  Results are labeled as a finite-scale proxy:
-    the bracketed quantity depends on r_probe.
+    Each visited intensity is then a count over the n thresholds.  Results
+    are labeled as a finite-scale proxy: the bracketed quantity depends on
+    r_probe.
     """
     if model.variant == "generalized":
         raise ContractError("bisection needs intensity-monotone crossing probabilities")
@@ -249,14 +248,6 @@ def bracket_crossing_intensity(
 
     def estimate_at(lam: float) -> Estimate:
         est = fold(thresholds[:, None] < lam / lam_max)[0]
-        for prev_lam, prev_est in evaluations:
-            if (prev_lam < lam and prev_est.hits > est.hits) or (
-                prev_lam > lam and prev_est.hits < est.hits
-            ):
-                raise InternalConsistencyError(
-                    "crossing frequency not monotone in intensity on shared replicates; "
-                    "thinning or seeding is broken"
-                )
         evaluations.append((lam, est))
         return est
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -83,6 +85,8 @@ def _keys(seed):
     seeds = np.asarray(seed)
     if seeds.ndim == 0:
         return np.uint64((mix(seed) + _GOLDEN) & _MASK64)
+    if not np.issubdtype(seeds.dtype, np.integer):  # a float seed has already lost its low bits
+        raise ConfigurationError(f"a seed array needs an integer dtype, got {seeds.dtype}")
     # mix(s) without a path is the finalizer of s mod 2**64; astype wraps a negative int64 to that residue
     keys = seeds.astype(np.uint64)
     _finalize(keys)
@@ -112,8 +116,9 @@ def pair_uniforms(seed, i, j) -> np.ndarray:
     """Uniform(0,1) variates indexed by unordered pairs of point ids.
 
     ``i`` and ``j`` may be arrays; the result is elementwise and symmetric
-    under swapping i and j.  ``seed`` is an int or an integer array that
-    broadcasts against them, one seed per pair.
+    under swapping i and j.  ``seed`` is an int or an integer-dtype array
+    that broadcasts against them, one seed per pair; a seed array of any
+    other dtype raises ConfigurationError.
     """
     i = np.asarray(i, dtype=np.uint64)
     j = np.asarray(j, dtype=np.uint64)

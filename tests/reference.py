@@ -14,7 +14,7 @@ from scipy import integrate
 
 from perco.coupling import thin_pair
 from perco.errors import ConfigurationError, ContractError
-from perco.events import crossing_spec
+from perco.events import _Block, _require_ball, crossing_spec
 from perco.graph import build_graph
 from perco.models import ModelSpec, pairwise_prob
 from perco.ppp import MAX_DIMENSION, PointCloud
@@ -191,3 +191,22 @@ def bracket_hits_by_rebuild(model, r_probe, lam, lam_max, rep_seeds):
         pair = thin_pair(window, lam, lam_max, rep_seed)
         hits.append(event.evaluate(build_graph(pair.low, model, seed=rep_seed)))
     return np.array(hits, dtype=bool)
+
+
+def renorm_long_edge_endpoint_first(graphs, r):
+    """The renorm long edge on each graph, decided endpoint first.
+
+    The points strictly inside B(0, 20r), the edges with an end among them,
+    and of those the edges whose squared length exceeds r*r.  The engine
+    decides the event through ``long_edge_hits``, long edges first, and
+    compares lengths rather than their squares.
+    """
+    graphs = list(graphs)
+    if not graphs:
+        return np.zeros(0, dtype=bool)
+    block = _Block(graphs)
+    _require_ball(block.windows, block.origin, 21.0 * r, "renorm long-edge event")
+    near = np.sum(block.positions**2, axis=1) < (20.0 * r) ** 2
+    e = block.edges[near[block.edges[:, 0]] | near[block.edges[:, 1]]]
+    diff = block.positions[e[:, 0]] - block.positions[e[:, 1]]
+    return block._any(e[np.sum(diff * diff, axis=1) > r * r, 0])

@@ -338,7 +338,7 @@ class TestCliErrors:
         ))
         assert cli.main(["dump-graph", cfg, "--out", str(tmp_path / "g.txt")]) == 3
         err = capsys.readouterr().err
-        assert "pair_budget" in err and "PERCO_BUDGET_POINTS" not in err
+        assert "pair cap DEFAULT_PAIR_BUDGET" in err and "PERCO_BUDGET_POINTS" not in err
 
     def test_plot_data_rejects_unplottable_and_malformed(self, tmp_path, capsys):
         val = tmp_path / "val.csv"

@@ -246,15 +246,15 @@ def test_inclusion_local_implies_crossing():
 
 
 def test_renorm_event_equals_scaled_long_edge():
-    # two independent implementations of the same event must agree exactly
+    # the spec agrees with the endpoint-first oracle and with the (20r, 1/20) long-edge event
     r = 0.15
     positives = 0
     for name, lam in [("boolean-heavy", 1.5), ("plain-poly", 1.5)]:
         model = catalog(d=2)[name]
         for graph in sampled_graphs(model, 21.05 * r, lam, range(5000, 5075)):
             f = renorm_long_edge_spec(r).evaluate(graph)
-            le = long_edge_spec(20.0 * r, 1.0 / 20.0).evaluate(graph)
-            assert f == le
+            assert f == reference.renorm_long_edge_endpoint_first([graph], r)[0]
+            assert f == long_edge_spec(20.0 * r, 1.0 / 20.0).evaluate(graph)
             positives += f
     assert positives > 5
 
@@ -510,3 +510,34 @@ def test_long_edge_hits_equals_brute_force(case):
     if graphs:  # a center of another dimension would broadcast silently
         with pytest.raises(ConfigurationError, match="ball center"):
             long_edge_hits(graphs, length, [([0.0] * (graphs[0].cloud.dimension + 1), 1.0, False)])
+
+
+@st.composite
+def _renorm_cases(draw):
+    """Graphs on dyadic lattice points, with edges of length exactly r and ends exactly on the sphere of radius 20r."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    r = draw(st.sampled_from((0.0625, 0.125, 0.25)))
+    axis = np.eye(d)[0]
+    lattice = tuple(k * r for k in range(-21, 22))
+    graphs = []
+    for n in draw(st.lists(st.integers(0, 8), max_size=5)):
+        pos = np.array(draw(st.lists(st.sampled_from(lattice), min_size=n * d, max_size=n * d)), dtype=float)
+        pos = pos.reshape(n, d)
+        if n >= 1 and draw(st.booleans()):
+            pos[0] = 20.0 * r * axis * draw(st.sampled_from((-1.0, 1.0)))  # on the sphere of radius 20r
+        if n >= 2 and draw(st.booleans()):
+            pos[1] = pos[0] + r * axis * draw(st.sampled_from((-1.0, 1.0)))  # an offset of exactly r
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = np.array([p for p, k in zip(pairs, keep) if k], dtype=np.int64).reshape(-1, 2)
+        graphs.append(GeomGraph(cloud=make_cloud(pos, radius=23.0 * r * math.sqrt(d)), seed=0, edges=edges))
+    return r, graphs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_renorm_cases())
+def test_renorm_long_edge_equals_endpoint_first_oracle(case):
+    r, graphs = case
+    got = renorm_long_edge_spec(r).evaluate_many(graphs)
+    assert got.dtype == bool and got.shape == (len(graphs),)
+    assert got.tolist() == reference.renorm_long_edge_endpoint_first(graphs, r).tolist()

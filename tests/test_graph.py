@@ -486,21 +486,26 @@ def test_tile_squared_distances_bitwise_equal_row_sums(d):
     assert np.array_equal(tile.reshape(-1).view(np.uint64), want.view(np.uint64))
 
 
-def test_pair_budget_resource_error():
+def test_pair_budget_resource_error(monkeypatch):
     cloud = sample_ppp(box_window([0, 0], [10, 10]), 2.0, seed=1)
-    with pytest.raises(ResourceError):
-        build_graph(cloud, catalog(2)["plain-poly"], seed=1, method="exact", pair_budget=100)
-    with pytest.raises(ResourceError):
-        build_graph(cloud, catalog(2)["plain-indicator"], seed=1, method="grid", pair_budget=3)
     layered = catalog(2)["product-indicator"]
-    with pytest.raises(ResourceError, match="range search finds") as info:
-        build_graph(cloud, layered, seed=1, method="grid", pair_budget=3)
-    # the count is exact: a budget of exactly that many candidates suffices
-    found = int(str(info.value).split("finds ")[1].split()[0])
+    exact = build_graph(cloud, layered, seed=1, method="exact")
+    monkeypatch.setattr(graph, "DEFAULT_PAIR_BUDGET", 100)
     with pytest.raises(ResourceError):
-        build_graph(cloud, layered, seed=1, method="grid", pair_budget=found - 1)
-    g = build_graph(cloud, layered, seed=1, method="grid", pair_budget=found)
-    assert np.array_equal(g.edges, build_graph(cloud, layered, seed=1, method="exact").edges)
+        build_graph(cloud, catalog(2)["plain-poly"], seed=1, method="exact")
+    monkeypatch.setattr(graph, "DEFAULT_PAIR_BUDGET", 3)
+    with pytest.raises(ResourceError):
+        build_graph(cloud, catalog(2)["plain-indicator"], seed=1, method="grid")
+    with pytest.raises(ResourceError, match="range search finds") as info:
+        build_graph(cloud, layered, seed=1, method="grid")
+    # the count is exact: a cap of exactly that many candidates suffices
+    found = int(str(info.value).split("finds ")[1].split()[0])
+    monkeypatch.setattr(graph, "DEFAULT_PAIR_BUDGET", found - 1)
+    with pytest.raises(ResourceError):
+        build_graph(cloud, layered, seed=1, method="grid")
+    monkeypatch.setattr(graph, "DEFAULT_PAIR_BUDGET", found)
+    g = build_graph(cloud, layered, seed=1, method="grid")
+    assert np.array_equal(g.edges, exact.edges)
 
 
 def test_dimension_mismatch_and_bad_method():

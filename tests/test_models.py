@@ -10,6 +10,7 @@ from scipy import integrate
 import reference
 from reference import MarkedPoint, connection_prob, connection_prob_ctx
 
+from perco import models
 from perco.errors import ConfigurationError, ContractError
 from perco.models import (
     Kernel,
@@ -187,12 +188,13 @@ def test_framework_boolean_finite_matches_moment():
     assert rep.integral_value == pytest.approx(4.0 * law.scale * law.shape / (law.shape - 1.0), rel=1e-4)
 
 
-def test_framework_counterexample_asymmetric():
-    def bad_phi(s, t, r):
+def test_framework_counterexample_asymmetric(monkeypatch):
+    def bad_phi(model, s, t, r):
         return np.exp(-np.asarray(r)) * (1.0 + 0.1 * (np.asarray(s) - np.asarray(t))) / 1.2
 
     m = catalog(2)["plain-indicator"]
-    rep = validate_framework(m, n_samples=2000, seed=5, phi=bad_phi)
+    monkeypatch.setattr(models, "pairwise_prob", bad_phi)
+    rep = validate_framework(m, n_samples=2000, seed=5)
     assert not rep.symmetric
     assert rep.integral_verdict == "skipped"
     assert any("FAIL" in line for line in rep.lines())

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from perco import rng
+from perco.errors import ConfigurationError
 from perco.rng import mix, pair_uniforms, point_uniforms, substream
 
 
@@ -114,6 +116,15 @@ def test_pair_uniforms_array_seeds_equal_scalar_seeds():
     tile = pair_uniforms(np.array([[5], [6]]), np.arange(3)[None, :], 11)
     assert np.array_equal(tile[1], pair_uniforms(6, np.arange(3), 11))
     assert pair_uniforms(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+def test_seed_arrays_of_other_dtypes_raise():
+    # a float seed has lost its low bits, so no seed array but an integer one is accepted
+    for seeds in (np.array([0.5, 3.0]), [-1, 2**64 - 1], np.array([True, False])):
+        with pytest.raises(ConfigurationError, match="integer dtype"):
+            pair_uniforms(seeds, [0, 1], [1, 2])
+    with pytest.raises(ConfigurationError, match="integer dtype"):
+        pair_uniforms(np.zeros(0), np.zeros(0), np.zeros(0))
 
 
 def _seed_runs(values, dtype):
