@@ -26,7 +26,6 @@ event.r = 0.8
 run.intensities = 0.6 1.0 1.4
 run.trials = 120
 run.seed = 5
-run.threads = 2
 """
 
 

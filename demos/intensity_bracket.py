@@ -14,7 +14,7 @@ if __name__ == "__main__":
     # picks the largest scale the point budget can afford, which is overkill
     # for a quick look
     res = bracket_crossing_intensity(
-        model, lam_min=0.5, lam_max=4.0, r_probe=2.0, n=100, seed=29, threads=2, k_max=5,
+        model, lam_min=0.5, lam_max=4.0, r_probe=2.0, n=100, seed=29, k_max=5,
     )
     print(f"probe radius: {res.r_probe:.3f}  threshold: {res.threshold}")
     print(f"{'intensity':>10s} {'p_hat':>8s} {'ci_low':>8s} {'ci_high':>8s}")

@@ -12,7 +12,7 @@ from perco import catalog, renorm_table
 if __name__ == "__main__":
     model = catalog(2)["boolean-fixed"]
     intensity = 0.7
-    table = renorm_table(model, intensity, r_values=(1.2, 2.4), n=300, seed=23, threads=2)
+    table = renorm_table(model, intensity, r_values=(1.2, 2.4), n=300, seed=23)
     print(f"model: constant radius 0.5, intensity={intensity}")
     print(
         f"{'r':>6s} {'cross(10r)':>10s} {'local':>8s} {'cross(r)':>9s} "

@@ -6,7 +6,8 @@ and writes a machine-readable result file.  Result files start with a
 "# generated <timestamp>" line, then deterministic "# key = value" metadata
 comments, then a CSV header and rows with floats at 9 significant digits.
 Everything after the timestamp line depends only on the config and seed, so
-reruns are byte-identical there regardless of thread count.
+reruns are byte-identical there.  --threads and run.threads are accepted and
+validated (at least 1), but do not change how or where replicates run.
 
 Exit codes: 0 success, 2 configuration or contract errors (message on
 stderr, prefixed file:line: when a config line is at fault), 3 resource
@@ -28,7 +29,7 @@ from .config import (
     read_intensities,
     read_intensity,
     read_run_settings,
-    read_seed_threads,
+    read_seed,
 )
 from .coupling import check_thinning_bounds
 from .errors import (
@@ -135,7 +136,6 @@ def cmd_estimate(cfg: ParsedConfig, out: str) -> list:
             event,
             n=run.trials,
             seed=int(mix(run.seed, "intensity", j)),
-            threads=run.threads,
             window=window,
             confidence=confidence,
         )
@@ -172,7 +172,6 @@ def cmd_probe_h(cfg: ParsedConfig, out: str) -> list:
         k=k,
         n=run.trials,
         seed=run.seed,
-        threads=run.threads,
         persistent_floor=floor,
         vanishing_factor=factor,
     )
@@ -205,8 +204,7 @@ def cmd_check_lemma1(cfg: ParsedConfig, out: str) -> list:
     c_prime = cfg.get_float("lemma1.c_prime", required=True)
     cfg.ensure_all_used()
     check = check_covering_inequality(
-        model, intensity, r=r, c=c, c_prime=c_prime,
-        n=run.trials, seed=run.seed, threads=run.threads,
+        model, intensity, r=r, c=c, c_prime=c_prime, n=run.trials, seed=run.seed,
     )
     ok = check.union_bound_violations == 0 and not check.statistically_violated
     comments = [
@@ -233,9 +231,7 @@ def cmd_check_lemma2(cfg: ParsedConfig, out: str) -> list:
     lam_high = cfg.get_float("lemma2.lam_high", required=True)
     r = cfg.get_float("lemma2.r", required=True)
     cfg.ensure_all_used()
-    report = check_thinning_bounds(
-        model, lam_low, lam_high, r=r, n=run.trials, seed=run.seed, threads=run.threads,
-    )
+    report = check_thinning_bounds(model, lam_low, lam_high, r=r, n=run.trials, seed=run.seed)
     comments = [
         ("subcommand", "check-lemma2"),
         ("ratio_squared", (lam_low / lam_high) ** 2),
@@ -262,9 +258,7 @@ def cmd_mixing_cov(cfg: ParsedConfig, out: str) -> list:
     if len(x) != model.d:
         raise cfg.error("mixing.x", f"mixing.x needs {model.d} coordinates")
     cfg.ensure_all_used()
-    report = estimate_mixing_cov(
-        model, intensity, r=r, x=x, n=run.trials, seed=run.seed, threads=run.threads,
-    )
+    report = estimate_mixing_cov(model, intensity, r=r, x=x, n=run.trials, seed=run.seed)
     comments = [
         ("subcommand", "mixing-cov"),
         ("ci_contains_zero", report.ci_low <= 0.0 <= report.ci_high),
@@ -292,7 +286,7 @@ def cmd_renorm_table(cfg: ParsedConfig, out: str) -> list:
     cfg.ensure_all_used()
     table = renorm_table(
         model, intensity, scales,
-        n=run.trials, seed=run.seed, threads=run.threads, c_mix=c_mix, zeta=zeta,
+        n=run.trials, seed=run.seed, c_mix=c_mix, zeta=zeta,
     )
     comments = [
         ("subcommand", "renorm-table"),
@@ -328,7 +322,7 @@ def cmd_bracket_lambda(cfg: ParsedConfig, out: str) -> list:
     result = bracket_crossing_intensity(
         model, lam_min, lam_max,
         r_probe=r_probe, p_threshold=threshold,
-        n=run.trials, seed=run.seed, threads=run.threads, k_max=k_max,
+        n=run.trials, seed=run.seed, k_max=k_max,
     )
     comments = [
         ("subcommand", "bracket-lambda"),
@@ -352,9 +346,9 @@ def cmd_bracket_lambda(cfg: ParsedConfig, out: str) -> list:
 def cmd_validate_model(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
     n_samples = cfg.get_int("validate.samples", default=10_000)
-    # validation is one vectorized pass; the global thread knob is accepted
-    # for flag uniformity but cannot change the result
-    seed, _ = read_seed_threads(cfg)
+    # run.threads and --threads are accepted and validated, as in every
+    # subcommand, and change no result
+    seed = read_seed(cfg)
     cfg.ensure_all_used()
     report = validate_framework(model, n_samples=n_samples, seed=seed)
     comments = [
@@ -379,7 +373,7 @@ def cmd_validate_model(cfg: ParsedConfig, out: str) -> list:
 def cmd_dump_graph(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
     intensity = read_intensity(cfg)
-    seed, _ = read_seed_threads(cfg)
+    seed = read_seed(cfg)
     radius = cfg.get_float("dump.radius", required=True)
     cfg.ensure_all_used()
     if radius <= 0:
@@ -515,7 +509,7 @@ def main(argv=None) -> int:
         else:
             p.add_argument("config", help="experiment config file (key = value lines)")
             p.add_argument("--seed", type=int, default=None, help="override run.seed")
-            p.add_argument("--threads", type=int, default=None, help="override run.threads")
+            p.add_argument("--threads", type=int, default=None, help="override run.threads (validated; changes no result)")
         p.add_argument("--out", default=None, help="output file path")
     args = parser.parse_args(argv)
     path = args.result if args.subcommand == "plot-data" else args.config

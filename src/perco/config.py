@@ -8,10 +8,12 @@ parameters is reported as unknown or inapplicable, before any sampling
 starts.
 
 Each subcommand reads only the run.* keys it uses: run.seed and run.threads
-everywhere (read_seed_threads), run.trials in the seven sampling subcommands
+everywhere (read_seed), run.trials in the seven sampling subcommands
 (read_run_settings), run.intensity wherever one intensity is sampled
 (read_intensity), and run.intensities, run.confidence and run.margin in
 estimate alone.  Any other run.* key is reported like an unknown key.
+run.threads is accepted and validated (at least 1), but does not change how
+or where replicates run: they all run in the calling thread.
 """
 
 from __future__ import annotations
@@ -207,24 +209,21 @@ def build_model(cfg: ParsedConfig) -> ModelSpec:
 class RunSettings:
     trials: int
     seed: int
-    threads: int
 
 
-def read_seed_threads(cfg: ParsedConfig) -> tuple:
-    """run.seed and run.threads, the two run keys every subcommand accepts."""
+def read_seed(cfg: ParsedConfig) -> int:
+    """run.seed, after validating run.threads: the two run keys every subcommand accepts."""
     seed = cfg.get_int("run.seed", default=0)
-    threads = cfg.get_int("run.threads", default=1)
-    if threads < 1:
+    if cfg.get_int("run.threads", default=1) < 1:
         raise cfg.error("run.threads", "run.threads must be at least 1")
-    return seed, threads
+    return seed
 
 
 def read_run_settings(cfg: ParsedConfig) -> RunSettings:
     trials = cfg.get_int("run.trials", default=200)
     if trials < 1:
         raise cfg.error("run.trials", "run.trials must be at least 1")
-    seed, threads = read_seed_threads(cfg)
-    return RunSettings(trials=trials, seed=seed, threads=threads)
+    return RunSettings(trials=trials, seed=read_seed(cfg))
 
 
 def _checked_intensities(cfg: ParsedConfig, key: str, intensities: tuple) -> tuple:

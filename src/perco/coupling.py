@@ -160,7 +160,7 @@ def check_thinning_bounds(
         # it is counted, not raised, so full runs report every violation
         return np.stack([event.evaluate_many(low_graphs), event.evaluate_many(high_graphs)], axis=1)
 
-    rows = run_replicates(sample, decide, n, seed, threads, points=lambda p: len(p.high) + len(p.low))
+    rows = run_replicates(sample, decide, n, seed, points=lambda p: len(p.high) + len(p.low))
     low_est, high_est = fold(rows)
     exact_violations = int(np.sum(rows[:, 0] & ~rows[:, 1]))
     ratio_sq = (lam_low / lam_high) ** 2

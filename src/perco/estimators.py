@@ -2,18 +2,23 @@
 
 Replicates are independent: each gets a fresh point cloud and fresh edge
 randomness derived from (master seed, replicate index), so results do not
-depend on the execution schedule.  ``run_replicates(sample, decide, ...)`` is
-the one replicate loop: it derives every replicate seed, samples each
-replicate on its own seed, and hands the samples to ``decide`` in groups of
-about ``_GROUP_POINTS`` points within fixed blocks of ``_BLOCK`` seeds, so
-that memory stays bounded; it returns what each replicate computes (event
-indicators, or a threshold) as an (n, k) array in replicate-index order.
-``fold`` turns indicator columns into Wilson estimates.  Every Monte Carlo
-check goes through the pair, which makes multi-threaded runs byte-identical
-to single-threaded ones.  The graph checks sample through ``graph_rows``,
-which builds each group of clouds with one shared screen
-(``graph.build_graphs``), so that a decision takes each event or ball once
-over them (``EventSpec.evaluate_many``, ``events.long_edge_hits``).
+depend on the order in which replicates run.  ``run_replicates(sample,
+decide, ...)`` is the one replicate loop: it derives every replicate seed,
+samples each replicate on its own seed, and hands the samples to ``decide``
+in groups that close at ``_GROUP_POINTS`` points, at every ``_BLOCK``-th
+replicate and at the last one, so that memory stays bounded; it returns
+what each replicate computes (event indicators, or a threshold) as an
+(n, k) array in replicate-index order.  ``fold`` turns indicator columns
+into Wilson estimates.  Every Monte Carlo check goes through the pair.  The
+graph checks sample through ``graph_rows``, which builds each group of
+clouds with one shared screen (``graph.build_graphs``), so that a decision
+takes each event or ball once over them (``EventSpec.evaluate_many``,
+``events.long_edge_hits``).
+
+Replicates run in the calling thread.  The public checks still accept a
+``threads`` keyword in its old place, as the CLI still accepts ``run.threads``
+and ``--threads`` (validated there as at least 1); none of them changes how
+or where replicates run, or any result.
 
 The Campbell-formula routines compute expected edge counts as deterministic
 integrals against intensity^2; they power calibration tests, the Markov
@@ -30,7 +35,6 @@ the scipy.stats result bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +52,12 @@ DEFAULT_CONFIDENCE = 0.95
 PERSISTENT_FLOOR = 0.05
 VANISHING_FACTOR = 4.0
 MIN_COV_TRIALS = 1000
-# replicates per block: a block shares one graph screen and one pass per event;
-# the boundaries depend only on n, never on the thread count
+# a group of replicates shares one graph screen and one pass per event; a group
+# closes at every _BLOCK-th replicate
 _BLOCK = 64
-# a block is sampled, built and evaluated in groups that close once they hold this
-# many points: a whole block of clouds small enough to share a screen (at most
-# graph._TILE_ROWS points each) is one group, while a block of large clouds is held
-# in memory a few replicates at a time
+# ... or once it holds this many points: _BLOCK clouds small enough to share a
+# screen (at most graph._TILE_ROWS points each) are one group, while large clouds
+# are held in memory a few replicates at a time
 _GROUP_POINTS = _BLOCK * _TILE_ROWS
 
 
@@ -93,57 +96,47 @@ def make_estimate(hits: int, trials: int, confidence: float = DEFAULT_CONFIDENCE
 
 
 def replicate_seed(seed: int, index: int) -> int:
-    """Per-replicate seed; stable against thread scheduling."""
+    """Per-replicate seed; a function of (seed, index) alone."""
     return int(mix(seed, "rep", index))
 
 
-def run_replicates(sample, decide, n: int, seed: int, threads: int = 1, points=len) -> np.ndarray:
+def run_replicates(sample, decide, n: int, seed: int, points=len) -> np.ndarray:
     """Replicates 0..n-1 as an (n, k) array of rows in replicate-index order.
 
-    Replicate i draws ``sample(replicate_seed(seed, i))``.  The seeds run in
-    consecutive blocks of _BLOCK; within a block the samples gather in groups
-    that close once they hold _GROUP_POINTS points, counted by
-    ``points(sample)``, and ``decide(seeds, samples)`` returns one row per
+    Replicate i draws ``sample(replicate_seed(seed, i))``.  The samples
+    gather in groups, and ``decide(seeds, samples)`` returns one row per
     sample of a group, with one value or k values in a row: event
-    indicators give a bool array, per-replicate thresholds a float one.  So
-    a block of large replicates holds a group or two of samples, and what
-    is built from them, at a time.  With ``threads`` > 1 the blocks run on a
-    thread pool; the blocks, and so the result, are the same at every
-    thread count.
+    indicators give a bool array, per-replicate thresholds a float one.  A
+    group closes once it holds _GROUP_POINTS points, counted by
+    ``points(sample)``, at every _BLOCK-th replicate, and at the last one;
+    so a run of large replicates holds a group or two of samples, and what
+    is built from them, at a time.
     """
     if n < 1:
         raise ConfigurationError("need at least one replicate")
     seeds = [replicate_seed(seed, i) for i in range(n)]
-    blocks = [seeds[k : k + _BLOCK] for k in range(0, n, _BLOCK)]
-
-    def block(block_seeds):
-        rows, group, samples, total = [], [], [], 0
-        for i, s in enumerate(block_seeds, 1):
-            group.append(s)
-            samples.append(sample(s))
-            total += points(samples[-1])
-            if total >= _GROUP_POINTS or i == len(block_seeds):
-                decided = np.asarray(decide(group, samples))
-                if decided.ndim not in (1, 2) or len(decided) != len(group):
-                    raise InternalConsistencyError(
-                        f"a decision returned shape {decided.shape} for {len(group)} replicates; need one row each"
-                    )
-                rows.append(decided.reshape(len(group), -1))
-                group, samples, total = [], [], 0
-        return np.concatenate(rows)
-
-    if threads <= 1:
-        return np.concatenate([block(b) for b in blocks])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(block, blocks)))
+    rows, group, samples, total = [], [], [], 0
+    for i, s in enumerate(seeds, 1):
+        group.append(s)
+        samples.append(sample(s))
+        total += points(samples[-1])
+        if total >= _GROUP_POINTS or i % _BLOCK == 0 or i == n:
+            decided = np.asarray(decide(group, samples))
+            if decided.ndim not in (1, 2) or len(decided) != len(group):
+                raise InternalConsistencyError(
+                    f"a decision returned shape {decided.shape} for {len(group)} replicates; need one row each"
+                )
+            rows.append(decided.reshape(len(group), -1))
+            group, samples, total = [], [], 0
+    return np.concatenate(rows)
 
 
-def graph_rows(model: ModelSpec, intensity: float, window: Window, decide, n: int, seed: int, threads: int = 1):
+def graph_rows(model: ModelSpec, intensity: float, window: Window, decide, n: int, seed: int):
     """run_replicates over graphs: ``decide(seeds, graphs)`` on each group of replicate clouds, built together."""
     return run_replicates(
         lambda s: sample_ppp(intensity=intensity, window=window, seed=s),
         lambda seeds, clouds: decide(seeds, build_graphs(clouds, model, seeds)),
-        n, seed, threads,
+        n, seed,
     )
 
 
@@ -171,7 +164,7 @@ def estimate_event(
     """Estimate the event probability over n independent replicates."""
     if window is None:
         window = event.window(model.d)
-    rows = graph_rows(model, intensity, window, lambda _, graphs: event.evaluate_many(graphs), n, seed, threads)
+    rows = graph_rows(model, intensity, window, lambda _, graphs: event.evaluate_many(graphs), n, seed)
     return fold(rows, confidence)[0]
 
 
@@ -269,7 +262,7 @@ def probe_long_edge_persistence(
     campbell = []
     for j, r in enumerate(r_values):
         event = long_edge_spec(r, c)
-        estimates.append(estimate_event(model, intensity, event, n, int(mix(seed, "scale", j)), threads=threads))
+        estimates.append(estimate_event(model, intensity, event, n, int(mix(seed, "scale", j))))
         campbell.append(_campbell_or_nan(model, intensity, r, c))
 
     slope, slope_ci = _slope_fit(r_values, estimates)
@@ -367,7 +360,7 @@ def campbell_long_edges(
     lower = c * r
     if upper is not None and not upper > lower:
         raise ConfigurationError("length cutoff must exceed c*r")
-    value = _phibar_integral(model, lambda rho: 1.0, lower, math.inf if upper is None else upper)
+    value = _phibar_integral(model, lambda _: 1.0, lower, math.inf if upper is None else upper)
     return intensity**2 * unit_ball_volume(d) * r**d * sphere_surface(d) * value
 
 
@@ -517,7 +510,7 @@ def check_covering_inequality(
         hits = long_edge_hits(graphs, length, balls)
         return np.stack([hits[:, 0], hits[:, 1], hits[:, 1] & hits[:, 2:].any(axis=1)], axis=1)
 
-    rows = graph_rows(model, intensity, window, decide, n, seed, threads)
+    rows = graph_rows(model, intensity, window, decide, n, seed)
     lhs_est, rhs_est = fold(rows[:, :2])
     violations = int(np.sum(rows[:, 1] & ~rows[:, 2]))
     stat_violated = cover.count * lhs_est.ci_high < rhs_est.ci_low
@@ -581,7 +574,7 @@ def estimate_mixing_cov(
     def decide(_, graphs):
         return np.stack([near_event.evaluate_many(graphs), far_event.evaluate_many(graphs)], axis=1)
 
-    rows = graph_rows(model, intensity, window, decide, n, seed, threads)
+    rows = graph_rows(model, intensity, window, decide, n, seed)
     near, far = fold(rows)
     a, b = rows.astype(float).T
     a_bar, b_bar = a.mean(), b.mean()

@@ -70,6 +70,8 @@ class EventSpec:
             raise ConfigurationError(f"event scale r must be positive, got {self.r}")
         if self.kind == LONG_EDGE and not (self.c > 0 and math.isfinite(self.c)):
             raise ConfigurationError(f"length ratio c must be positive, got {self.c}")
+        if self.kind != LONG_EDGE and self.c != 1.0:
+            raise ConfigurationError(f"only a long-edge event takes a length ratio, not a {self.kind} event")
         if self.center is not None:
             if self.kind != LOCAL_CROSSING:
                 raise ConfigurationError(f"only a local crossing takes a center, not a {self.kind} event")

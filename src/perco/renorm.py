@@ -121,7 +121,7 @@ def renorm_table(
         def decide(_, graphs):
             return np.stack([spec.evaluate_many(graphs) for spec in specs], axis=1)
 
-        outcomes = graph_rows(model, intensity, window, decide, n, replicate_seed(seed, j), threads)
+        outcomes = graph_rows(model, intensity, window, decide, n, replicate_seed(seed, j))
         violations += int(np.sum(outcomes[:, 1] & ~outcomes[:, 2]))
         lhs_est, g_est, c_est, f_est = fold(outcomes)
         mixing = 0.0 if c_mix is None else c_mix * intensity * r ** -zeta
@@ -209,7 +209,7 @@ def crossing_thresholds(
     def decide(seeds, graphs):
         return spec.thresholds_many(graphs, [retention_uniforms(g.cloud, s) for s, g in zip(seeds, graphs)])
 
-    return graph_rows(model, lam_max, window, decide, n, seed, threads)[:, 0]
+    return graph_rows(model, lam_max, window, decide, n, seed)[:, 0]
 
 
 def bracket_crossing_intensity(
@@ -243,7 +243,7 @@ def bracket_crossing_intensity(
         raise ConfigurationError("threshold must be in (0, 1)")
     if r_probe is None:
         r_probe = default_probe_scale(model, lam_max)
-    thresholds = crossing_thresholds(model, lam_max, r_probe, n, seed, threads)
+    thresholds = crossing_thresholds(model, lam_max, r_probe, n, seed)
     evaluations = []
 
     def estimate_at(lam: float) -> Estimate:

@@ -156,6 +156,7 @@ class TestBuildModel:
             ("run.intensity = 1\nrun.intensities = 1 2\n", "r.cfg:7", "not both"),
             ("run.intensity = -1\n", "r.cfg:6", "nonnegative"),
             ("run.intensity = 1\nrun.confidence = 1.5\n", "r.cfg:7", "run.confidence"),
+            ("run.intensity = 1\nrun.threads = 0\n", "r.cfg:7", "run.threads must be at least 1"),
         ]:
             cfg = write_config(tmp_path, BOOLEAN_CFG + run_lines + "event.kind = crossing\nevent.r = 1\n", name="r.cfg")
             assert cli.main(["estimate", cfg, "--out", str(tmp_path / "x.csv")]) == 2

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -204,7 +205,7 @@ def test_run_replicates_shape_and_thread_independence():
 
     rows = run_replicates(pair, block, 40, seed=17)
     assert rows.shape == (40, 2) and rows.dtype == bool
-    assert np.array_equal(run_replicates(pair, block, 40, seed=17, threads=3), rows)
+    assert np.array_equal(run_replicates(pair, block, 40, seed=17), rows)
     expected = [pair(replicate_seed(17, i)) for i in range(40)]
     assert rows.tolist() == [list(row) for row in expected]
     single = run_replicates(pair, lambda seeds, _: [s % 2 == 0 for s in seeds], 40, seed=17)
@@ -261,8 +262,8 @@ def test_replicate_rows_independent_of_blocks_and_threads(loop, monkeypatch):
             check(n, threads)
         return caught.value.args[0]
 
-    def capture(sample, decide, n, seed, threads=1, points=len):
-        raise _Rows(real(sample, decide, n, seed, threads, points))
+    def capture(sample, decide, n, seed, points=len):
+        raise _Rows(real(sample, decide, n, seed, points))
 
     monkeypatch.setattr(module, "run_replicates", capture)
     monkeypatch.setattr(estimators, "MIN_COV_TRIALS", 1)
@@ -277,6 +278,22 @@ def test_replicate_rows_independent_of_blocks_and_threads(loop, monkeypatch):
             assert rows.dtype == want.dtype and np.array_equal(rows, want[:n]), (threads, n)
     monkeypatch.setattr(estimators, "_GROUP_POINTS", 40)  # a block built a cloud or two at a time
     assert np.array_equal(rows_of(block + 1, 1), want)
+
+
+def test_sampling_entry_points_start_no_thread(monkeypatch):
+    # replicates run in the calling thread; the threads keyword is accepted and changes nothing
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    calls = {
+        8: lambda t: estimate_event(_SOFT, 8.0, crossing_spec(0.5), 70, 3, t),
+        4: lambda t: check_thinning_bounds(_SOFT, 1.2, 2.4, 1.0, 70, 6, t),
+        3: lambda t: crossing_thresholds(_SOFT_WEIGHTED, 2.4, 1.0, 70, 8, t),
+    }
+    for threads, call in calls.items():
+        want, got = call(1), call(threads)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, threads
 
 
 def test_blocks_sample_and_build_a_group_at_a_time(monkeypatch):

@@ -48,6 +48,11 @@ def test_spec_validation():
         EventSpec(kind="crossing", r=0.0)
     with pytest.raises(ConfigurationError):
         EventSpec(kind="long_edge", r=1.0, c=-2.0)
+    # a length ratio on another kind would be ignored, so it is rejected like a stray center
+    for kind, c in (("renorm_long_edge", -3.0), ("crossing", math.nan), ("local_crossing", math.inf), ("crossing", 2.0)):
+        with pytest.raises(ConfigurationError, match="only a long-edge event takes a length ratio"):
+            EventSpec(kind=kind, r=1.0, c=c)
+    assert all(EventSpec(kind=kind, r=1.0, c=1.0).c == 1.0 for kind in ("crossing", "local_crossing", "renorm_long_edge"))
 
 
 def test_window_policy_radii():
