@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Every analysis subcommand takes a config file (flat key = value lines) plus
-optional --seed/--threads/--out overrides, prints a human summary to stdout,
+optional --seed/--out overrides, prints a human summary to stdout,
 and writes a machine-readable result file.  Result files start with a
 "# generated <timestamp>" line, then deterministic "# key = value" metadata
 comments, then a CSV header and rows with floats at 9 significant digits.
 Everything after the timestamp line depends only on the config and seed, so
-reruns are byte-identical there.  --threads and run.threads are accepted and
-validated (at least 1), but do not change how or where replicates run.
+reruns are byte-identical there.  run.threads is accepted and validated (at
+least 1), but does not change how or where replicates run.
 
 Exit codes: 0 success, 2 configuration or contract errors (message on
 stderr, prefixed file:line: when a config line is at fault), 3 resource
@@ -161,7 +161,11 @@ def cmd_probe_h(cfg: ParsedConfig, out: str) -> list:
     k = cfg.get_int("grid.count", default=6)
     c = cfg.get_float("probe.c", default=1.0)
     floor = cfg.get_float("probe.floor", default=PERSISTENT_FLOOR)
+    if not 0 <= floor < 1:
+        raise cfg.error("probe.floor", "probe.floor must be in [0, 1)")
     factor = cfg.get_float("probe.factor", default=VANISHING_FACTOR)
+    if not (np.isfinite(factor) and factor >= 1):
+        raise cfg.error("probe.factor", "probe.factor must be finite and at least 1")
     cfg.ensure_all_used()
     report = probe_long_edge_persistence(
         model,
@@ -346,8 +350,8 @@ def cmd_bracket_lambda(cfg: ParsedConfig, out: str) -> list:
 def cmd_validate_model(cfg: ParsedConfig, out: str) -> list:
     model = build_model(cfg)
     n_samples = cfg.get_int("validate.samples", default=10_000)
-    # run.threads and --threads are accepted and validated, as in every
-    # subcommand, and change no result
+    if n_samples < 1:
+        raise cfg.error("validate.samples", "validate.samples must be at least 1")
     seed = read_seed(cfg)
     cfg.ensure_all_used()
     report = validate_framework(model, n_samples=n_samples, seed=seed)
@@ -471,7 +475,7 @@ def _default_out(subcommand: str) -> str:
     return "dump-graph.txt" if subcommand == "dump-graph" else f"{subcommand}.csv"
 
 
-def run(subcommand: str, config_path: str, seed=None, threads=None, out=None) -> int:
+def run(subcommand: str, config_path: str, seed=None, out=None) -> int:
     """Programmatic entry point; raises on errors instead of exiting."""
     if subcommand == "plot-data":
         target = out if out is not None else _default_out("plot-data")
@@ -480,10 +484,6 @@ def run(subcommand: str, config_path: str, seed=None, threads=None, out=None) ->
         cfg = parse_config_file(config_path)
         if seed is not None:
             cfg.values["run.seed"] = str(seed)
-            cfg.lines.setdefault("run.seed", 0)
-        if threads is not None:
-            cfg.values["run.threads"] = str(threads)
-            cfg.lines.setdefault("run.threads", 0)
         cfg_out = cfg.get_str("out.results", default=None)
         if out is None:
             out = cfg_out
@@ -509,14 +509,12 @@ def main(argv=None) -> int:
         else:
             p.add_argument("config", help="experiment config file (key = value lines)")
             p.add_argument("--seed", type=int, default=None, help="override run.seed")
-            p.add_argument("--threads", type=int, default=None, help="override run.threads (validated; changes no result)")
         p.add_argument("--out", default=None, help="output file path")
     args = parser.parse_args(argv)
     path = args.result if args.subcommand == "plot-data" else args.config
     seed = getattr(args, "seed", None)
-    threads = getattr(args, "threads", None)
     try:
-        return run(args.subcommand, path, seed=seed, threads=threads, out=args.out)
+        return run(args.subcommand, path, seed=seed, out=args.out)
     except (ConfigurationError, WindowCoverageError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

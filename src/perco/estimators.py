@@ -15,10 +15,10 @@ clouds with one shared screen (``graph.build_graphs``), so that a decision
 takes each event or ball once over them (``EventSpec.evaluate_many``,
 ``events.long_edge_hits``).
 
-Replicates run in the calling thread.  The public checks still accept a
-``threads`` keyword in its old place, as the CLI still accepts ``run.threads``
-and ``--threads`` (validated there as at least 1); none of them changes how
-or where replicates run, or any result.
+Replicates run in the calling thread.  ``estimate_mixing_cov`` and
+``coupling.check_thinning_bounds`` still accept a ``threads`` keyword in its
+old place, as the config still accepts ``run.threads`` (validated as at least
+1); neither changes how or where replicates run, or any result.
 
 The Campbell-formula routines compute expected edge counts as deterministic
 integrals against intensity^2; they power calibration tests, the Markov
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ConfigurationError, ContractError, InternalConsistencyError
+from .errors import ConfigurationError, ContractError, InternalConsistencyError, ResourceError
 from .events import EventSpec, local_crossing_spec, long_edge_hits, long_edge_spec, long_edge_window
 from .graph import _TILE_ROWS, GeomGraph, build_graph, build_graphs
 from .models import ModelSpec, mark_averaged_connection, max_range, phibar_breakpoints
@@ -52,6 +52,7 @@ DEFAULT_CONFIDENCE = 0.95
 PERSISTENT_FLOOR = 0.05
 VANISHING_FACTOR = 4.0
 MIN_COV_TRIALS = 1000
+COVERING_LATTICE_BUDGET = 1_000_000  # lattice points one covering may enumerate
 # a group of replicates shares one graph screen and one pass per event; a group
 # closes at every _BLOCK-th replicate
 _BLOCK = 64
@@ -157,7 +158,6 @@ def estimate_event(
     event: EventSpec,
     n: int,
     seed: int,
-    threads: int = 1,
     window: Window | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> Estimate:
@@ -216,8 +216,8 @@ def geometric_grid(r_min: float, r_max: float | None, k: int):
         raise ConfigurationError("r_min must be positive")
     if r_max is None:
         return tuple(r_min * 2.0**i for i in range(k))
-    if not (r_max > r_min):
-        raise ConfigurationError("r_max must exceed r_min")
+    if not r_min < r_max < math.inf:
+        raise ConfigurationError("r_max must be finite and exceed r_min")
     return tuple(np.geomspace(r_min, r_max, k))
 
 
@@ -252,11 +252,14 @@ def probe_long_edge_persistence(
     k: int = 6,
     n: int = 200,
     seed: int = 0,
-    threads: int = 1,
     persistent_floor: float = PERSISTENT_FLOOR,
     vanishing_factor: float = VANISHING_FACTOR,
 ) -> TrendReport:
     """Estimate long-edge probabilities along a geometric r-grid and classify the trend."""
+    if not 0 <= persistent_floor < 1:
+        raise ConfigurationError(f"persistent floor must lie in [0, 1), got {persistent_floor}")
+    if not (math.isfinite(vanishing_factor) and vanishing_factor >= 1):
+        raise ConfigurationError(f"vanishing factor must be finite and at least 1, got {vanishing_factor}")
     r_values = geometric_grid(r_min, r_max, k)
     estimates = []
     campbell = []
@@ -431,13 +434,18 @@ def covering_number(q: float, d: int) -> Covering:
     survives the strict cutoff.  Centers outside the ball are projected onto
     it, which only shrinks distances to covered points.
     """
-    if not (q >= 1):
-        raise ConfigurationError("covering ratio must be >= 1")
+    if not (q >= 1 and math.isfinite(q)):
+        raise ConfigurationError(f"covering ratio must be finite and >= 1, got {q}")
     if not 1 <= d <= 8:
         raise ConfigurationError("dimension must be between 1 and 8")
     if q <= 1.0:
         return Covering(q=q, d=d, centers=np.zeros((1, d)))
     h = 2.0 / math.sqrt(d)
+    # lattice points per axis, held against the cap's d-th root so that no count overflows
+    side = 2.0 * (q // h) + 3.0
+    if side > COVERING_LATTICE_BUDGET ** (1.0 / d):
+        raise ResourceError(f"covering B(0, {q:g}) in d={d} takes a lattice of {side:.6g}^{d} points, the "
+                            f"lattice cap COVERING_LATTICE_BUDGET is {COVERING_LATTICE_BUDGET}; lower c'/c")
     k_max = int(math.floor(q / h)) + 1
     axes = [np.arange(-k_max, k_max + 1) * h] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
@@ -482,7 +490,6 @@ def check_covering_inequality(
     c_prime: float,
     n: int,
     seed: int,
-    threads: int = 1,
 ) -> CoveringCheck:
     """Check count(q) * P(small-ball long edge) >= P(large-ball long edge), q = c'/c.
 
@@ -495,6 +502,8 @@ def check_covering_inequality(
     """
     if not (c_prime >= c > 0):
         raise ConfigurationError("need c' >= c > 0")
+    if not 0 < r < math.inf:
+        raise ConfigurationError(f"r must be positive and finite, got {r}")
     q = c_prime / c
     d = model.d
     cover = covering_number(q, d)

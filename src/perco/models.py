@@ -148,6 +148,9 @@ MODEL_VARIANTS = ("boolean", "classical", "generalized")
 KERNEL_KINDS = tuple(_KERNEL_FORMULAS)
 PROFILE_KINDS = ("indicator", "polynomial", "custom")
 RADIUS_KINDS = ("constant", "pareto")
+# the largest Pareto exponent, radius shape or weight tau - 1: past it 2^exponent,
+# the bound of the sum survival's integrand, leaves the float range
+_MAX_PARETO_SHAPE = 1000.0
 
 
 @dataclass(frozen=True)
@@ -205,8 +208,8 @@ class RadiusLaw:
             if not (self.radius > 0 and math.isfinite(self.radius)):
                 raise ConfigurationError(f"constant radius must be positive, got {self.radius}")
         elif self.kind == "pareto":
-            if not (self.shape > 0 and math.isfinite(self.shape)):
-                raise ConfigurationError(f"pareto shape must be positive, got {self.shape}")
+            if not 0 < self.shape <= _MAX_PARETO_SHAPE:
+                raise ConfigurationError(f"pareto shape must lie in (0, {_MAX_PARETO_SHAPE:g}], got {self.shape}")
             if not (self.scale > 0 and math.isfinite(self.scale)):
                 raise ConfigurationError(f"pareto scale must be positive, got {self.scale}")
         else:
@@ -217,8 +220,14 @@ class RadiusLaw:
         if self.kind == "constant":
             out = np.full(marks.shape, self.radius)
         else:
-            out = self.scale * marks ** (-1.0 / self.shape)
+            with np.errstate(over="ignore"):  # a radius past the float range is inf
+                out = self.scale * marks ** (-1.0 / self.shape)
         return float(out) if out.ndim == 0 else out
+
+    def reach(self, marks_a, marks_b) -> np.ndarray:
+        """R(u_a) + R(u_b), below which two balls meet; inf past the float range."""
+        with np.errstate(over="ignore"):
+            return np.asarray(self.radii(marks_a) + self.radii(marks_b))
 
     @property
     def bound(self) -> float:
@@ -256,8 +265,8 @@ class ModelSpec:
                 raise ConfigurationError("classical model needs kernel and profile")
             if not (self.beta > 0 and math.isfinite(self.beta)):
                 raise ConfigurationError(f"amplitude beta must be positive, got {self.beta}")
-            if self.kernel.uses_weights and self.tau <= 1.0:
-                raise ConfigurationError(f"weight kernels need tau > 1, got {self.tau}")
+            if self.kernel.uses_weights and not 1.0 < self.tau <= 1.0 + _MAX_PARETO_SHAPE:
+                raise ConfigurationError(f"weight kernels need 1 < tau <= {1.0 + _MAX_PARETO_SHAPE:g}, got {self.tau}")
         elif self.variant == "generalized":
             if self.base is None or self.base.variant != "classical":
                 raise ConfigurationError("generalized model needs a classical base")
@@ -334,8 +343,7 @@ def pairwise_prob(model: ModelSpec, marks_a, marks_b, dists):
     marks_b = np.asarray(marks_b, dtype=float)
     dists = np.asarray(dists, dtype=float)
     if model.variant == "boolean":
-        law = model.radius_law
-        out = np.where(dists < law.radii(marks_a) + law.radii(marks_b), 1.0, 0.0)
+        out = np.where(dists < model.radius_law.reach(marks_a, marks_b), 1.0, 0.0)
         return float(out) if out.ndim == 0 else out
     scaled = dists**model.d
     if model.kernel.uses_weights:
@@ -360,8 +368,7 @@ def pair_range(model: ModelSpec, marks_a, marks_b):
     marks_a = np.asarray(marks_a, dtype=float)
     marks_b = np.asarray(marks_b, dtype=float)
     if model.variant == "boolean":
-        law = model.radius_law
-        out = np.asarray(law.radii(marks_a) + law.radii(marks_b))
+        out = model.radius_law.reach(marks_a, marks_b)
     else:
         g = _kernel_value(model, marks_a, marks_b)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -528,6 +535,8 @@ def validate_framework(model: ModelSpec, n_samples: int = 10_000, seed: int = 0)
     """
     if model.variant == "generalized":
         raise ContractError("validate the classical base of a generalized model")
+    if n_samples < 1:
+        raise ConfigurationError(f"need at least one sample, got {n_samples}")
     gen = substream(seed, "framework")
     scale = max(phibar_breakpoints(model) or [1.0])
     s = gen.uniform(size=n_samples).clip(1e-12, 1 - 1e-12)

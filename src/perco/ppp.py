@@ -3,12 +3,13 @@
 Points live in R^d (1 <= d <= 8) and carry an independent uniform(0,1) mark.
 Weights and radii used by the connection models are deterministic transforms
 of the mark, so a cloud fully determines the vertex data of a graph.
+``sample_ppp`` raises ``ResourceError`` past the point cap, the module constant
+``DEFAULT_POINT_BUDGET`` on the expected point count, read at every call.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,22 +18,7 @@ from .errors import ConfigurationError, ResourceError
 from .rng import substream
 
 MAX_DIMENSION = 8
-DEFAULT_POINT_BUDGET = 5_000_000
-BUDGET_ENV_VAR = "PERCO_BUDGET_POINTS"
-
-
-def point_budget() -> int:
-    """Per-replicate cap on expected point counts (PERCO_BUDGET_POINTS overrides)."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_POINT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ConfigurationError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
+DEFAULT_POINT_BUDGET = 5_000_000  # the point cap: expected points one replicate may sample, read per call
 
 
 def unit_ball_volume(d: int) -> float:
@@ -95,9 +81,14 @@ class Window:
         return self.center.size if self.kind == "ball" else self.lower.size
 
     def volume(self) -> float:
+        """Lebesgue volume; inf past the float range, which the point cap then rejects."""
         if self.kind == "ball":
-            return unit_ball_volume(self.dimension) * self.radius**self.dimension
-        return float(np.prod(self.upper - self.lower))
+            try:
+                return unit_ball_volume(self.dimension) * self.radius**self.dimension
+            except OverflowError:
+                return math.inf
+        with np.errstate(over="ignore"):
+            return float(np.prod(self.upper - self.lower))
 
     def contains(self, positions: np.ndarray) -> np.ndarray:
         """Boolean mask of positions (n, d) lying inside the window."""
@@ -121,10 +112,8 @@ class Window:
         return self.lower, self.upper
 
 
-def ball_window(radius: float, d: int, center=None) -> Window:
-    if center is None:
-        center = np.zeros(d)
-    return Window(kind="ball", center=center, radius=radius)
+def ball_window(radius: float, d: int) -> Window:
+    return Window(kind="ball", center=np.zeros(d), radius=radius)
 
 
 def box_window(lower, upper) -> Window:
@@ -211,19 +200,16 @@ def sample_ppp(window: Window, intensity: float, seed: int) -> PointCloud:
     volume = window.volume()
     if volume <= 0:
         raise ConfigurationError("window has nonpositive volume")
-    budget = point_budget()
-    expected = intensity * volume
-    if expected > budget:
+    expected = intensity * volume if intensity > 0 else 0.0  # an unbounded window at zero intensity is empty
+    if expected > DEFAULT_POINT_BUDGET:
         raise ResourceError(
-            f"expected point count {expected:.3g} exceeds budget {budget} "
-            f"(intensity={intensity:.6g}, volume={volume:.6g}); "
-            "shrink the window or lower the intensity, or raise "
-            f"{BUDGET_ENV_VAR}"
+            f"expected point count {expected:.3g} (intensity={intensity:.6g}, volume={volume:.6g}), "
+            f"the point cap DEFAULT_POINT_BUDGET is {DEFAULT_POINT_BUDGET}; shrink the window or lower the intensity"
         )
     gen = substream(seed)
     count = int(gen.poisson(expected))
-    if count > 4 * budget:  # Poisson fluctuation guard, effectively unreachable
-        raise ResourceError(f"sampled point count {count} exceeds hard cap {4 * budget}")
+    if count > 4 * DEFAULT_POINT_BUDGET:  # Poisson fluctuation guard, effectively unreachable
+        raise ResourceError(f"sampled point count {count} exceeds hard cap {4 * DEFAULT_POINT_BUDGET}")
     positions = _uniform_in_window(window, count, gen)
     marks = gen.uniform(0.0, 1.0, size=count)
     # open-interval marks: the generator can emit exactly 0.0

@@ -90,7 +90,6 @@ def renorm_table(
     r_values,
     n: int,
     seed: int,
-    threads: int = 1,
     c_mix: float | None = None,
     zeta: float | None = None,
 ) -> RenormTable:
@@ -191,9 +190,7 @@ def default_probe_scale(model: ModelSpec, lam_max: float) -> float:
     return (BRACKET_POINT_BUDGET / (lam_max * unit_ball_volume(d))) ** (1.0 / d) / window_factor
 
 
-def crossing_thresholds(
-    model: ModelSpec, lam_max: float, r_probe: float, n: int, seed: int, threads: int = 1
-) -> np.ndarray:
+def crossing_thresholds(model: ModelSpec, lam_max: float, r_probe: float, n: int, seed: int) -> np.ndarray:
     """Each replicate's crossing threshold at r_probe, as a float array of length n.
 
     Replicate i samples its master cloud at lam_max and builds its graph once.
@@ -220,7 +217,6 @@ def bracket_crossing_intensity(
     p_threshold: float = 0.5,
     n: int = 200,
     seed: int = 0,
-    threads: int = 1,
     k_max: int = BRACKET_MAX_ITER,
 ) -> BracketResult:
     """Bisect the intensity against p(crossing at r_probe) = p_threshold.

@@ -36,7 +36,6 @@ from perco.ppp import ball_window, box_window, sample_ppp
 from perco.renorm import renorm_table
 from perco.rng import mix
 
-THREADS = 8
 CAT2 = catalog(2)
 
 
@@ -259,7 +258,7 @@ def test_criterion_06_intensity_bounds_grid():
         for gj, r in enumerate(r_values):
             rep = check_thinning_bounds(
                 model, ratio * lam_high, lam_high, r=r,
-                n=4000, seed=int(mix(23, "lemma2", gi, gj)), threads=THREADS,
+                n=4000, seed=int(mix(23, "lemma2", gi, gj)),
             )
             exact_violations += rep.exact_upper_violations
             stat_violations += rep.lower_violated + rep.upper_violated
@@ -285,7 +284,7 @@ def test_criterion_07_covering_union_bound():
     for idx, (d, lam, model, c, c_prime) in enumerate(combos):
         check = check_covering_inequality(
             model, lam, r=1.0, c=c, c_prime=c_prime,
-            n=2000, seed=int(mix(29, "cover", idx)), threads=THREADS,
+            n=2000, seed=int(mix(29, "cover", idx)),
         )
         union_violations += check.union_bound_violations
         stat_violations += check.statistically_violated
@@ -311,7 +310,7 @@ def test_criterion_08_mixing_covariance_classical():
         for rep in range(20):
             mx = estimate_mixing_cov(
                 model, lam, r=r, x=x, n=1000,
-                seed=int(mix(31, "mixing", name, rep)), threads=THREADS,
+                seed=int(mix(31, "mixing", name, rep)),
             )
             contains += mx.ci_low <= 0.0 <= mx.ci_high
         results.append(f"{name} {contains}/20")
@@ -326,7 +325,7 @@ def test_criterion_08_mixing_covariance_classical():
 def test_criterion_09_long_edge_dichotomy():
     bounded = probe_long_edge_persistence(
         CAT2["boolean-fixed"], 1.0, c=1.0, r_min=1.2, k=5, n=100,
-        seed=37, threads=THREADS,
+        seed=37,
     )
     bounded_ok = (
         bounded.verdict == "vanishing"
@@ -335,7 +334,7 @@ def test_criterion_09_long_edge_dichotomy():
     )
     heavy = probe_long_edge_persistence(
         CAT2["boolean-heavy"], 0.5, c=1.0, r_min=1.0, k=5, n=100,
-        seed=41, threads=THREADS,
+        seed=41,
     )
     heavy_ok = (
         heavy.verdict == "persistent"
@@ -356,7 +355,7 @@ def test_criterion_10_renormalization_behavior():
     lam = 0.7
     scales = [1.2, 2.4]
     n = 500
-    table = renorm_table(model, lam, scales, n=n, seed=43, threads=THREADS)
+    table = renorm_table(model, lam, scales, n=n, seed=43)
     f_zero = all(row.f_est.hits == 0 for row in table.rows)
     decrease_ok = True
     for row in table.rows[-2:]:
@@ -431,12 +430,12 @@ def test_criterion_11_determinism_across_threads(tmp_path):
     unstable = []
     estimate_out = None
     for sub, text in DETERMINISM_CONFIGS.items():
-        cfg = tmp_path / f"{sub}.cfg"
-        cfg.write_text(text)
         bodies = []
         for tag, threads in (("a", 1), ("b", 2), ("c", 8), ("rerun", 1)):
+            cfg = tmp_path / f"{sub}-{tag}.cfg"
+            cfg.write_text(text + f"run.threads = {threads}\n")
             out = tmp_path / f"{sub}-{tag}.out"
-            code = cli.run(sub, str(cfg), threads=threads, out=str(out))
+            code = cli.run(sub, str(cfg), out=str(out))
             assert code == 0
             bodies.append(result_body(out))
         if len(set(bodies)) != 1:
@@ -474,10 +473,10 @@ def test_result_bodies_match_recorded_digests(tmp_path):
     assert set(BODY_DIGESTS) == set(DETERMINISM_CONFIGS)
     got = {}
     for sub, text in DETERMINISM_CONFIGS.items():
-        cfg = tmp_path / f"{sub}.cfg"
-        cfg.write_text(text)
         for threads in (1, 3):
+            cfg = tmp_path / f"{sub}-{threads}.cfg"
+            cfg.write_text(text + f"run.threads = {threads}\n")
             out = tmp_path / f"{sub}-{threads}.out"
-            assert cli.run(sub, str(cfg), threads=threads, out=str(out)) == 0
+            assert cli.run(sub, str(cfg), out=str(out)) == 0
             got[sub, threads] = hashlib.sha256(result_body(out).encode()).hexdigest()[:16]
     assert got == {(sub, t): digest for sub, digest in BODY_DIGESTS.items() for t in (1, 3)}

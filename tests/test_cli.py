@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from perco import cli, graph
+from perco import cli, graph, ppp
 from perco.config import (
     build_model,
     parse_config_text,
@@ -322,13 +322,23 @@ class TestCliErrors:
         assert "'event.kind' must be one of long_edge, crossing, local_crossing, renorm_long_edge; got 'bridge'" in err
 
     def test_budget_exceeded_exits_3_with_hint(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PERCO_BUDGET_POINTS", "500")
+        monkeypatch.setattr(ppp, "DEFAULT_POINT_BUDGET", 500)
         cfg = write_config(tmp_path, BOOLEAN_CFG + (
             "run.intensity = 10\nrun.trials = 3\nevent.kind = crossing\nevent.r = 5\n"
         ))
         assert cli.main(["estimate", cfg, "--out", str(tmp_path / "x.csv")]) == 3
         err = capsys.readouterr().err
-        assert "PERCO_BUDGET_POINTS" in err
+        assert "point cap DEFAULT_POINT_BUDGET is 500" in err
+
+    def test_trend_thresholds_and_sample_count_exit_2_at_their_line(self, tmp_path, capsys):
+        cases = [("probe-h", "probe.floor", v, "must be in [0, 1)") for v in ("1", "-0.1", "nan")]
+        cases += [("probe-h", "probe.factor", v, "must be finite and at least 1") for v in ("0", "-1", "0.5", "inf", "nan")]
+        cases += [("validate-model", "validate.samples", v, "must be at least 1") for v in ("0", "-1")]
+        for subcommand, key, value, message in cases:
+            kept = [ln for ln in DETERMINISM_CONFIGS[subcommand].splitlines() if not ln.startswith(key + " ")]
+            cfg = write_config(tmp_path, "\n".join(kept) + f"\n{key} = {value}\n", name="bad.cfg")
+            assert cli.main([subcommand, cfg, "--out", str(tmp_path / "x.csv")]) == 2, (key, value)
+            assert f"bad.cfg:{len(kept) + 1}: {key} {message}" in capsys.readouterr().err, (key, value)
 
     def test_pair_budget_exceeded_exits_3_without_point_budget_hint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(graph, "DEFAULT_PAIR_BUDGET", 10)
@@ -339,7 +349,7 @@ class TestCliErrors:
         ))
         assert cli.main(["dump-graph", cfg, "--out", str(tmp_path / "g.txt")]) == 3
         err = capsys.readouterr().err
-        assert "pair cap DEFAULT_PAIR_BUDGET" in err and "PERCO_BUDGET_POINTS" not in err
+        assert "pair cap DEFAULT_PAIR_BUDGET" in err and "DEFAULT_POINT_BUDGET" not in err
 
     def test_plot_data_rejects_unplottable_and_malformed(self, tmp_path, capsys):
         val = tmp_path / "val.csv"
@@ -438,17 +448,22 @@ def test_subcommands_reject_run_keys_they_do_not_read(tmp_path, capsys, subcomma
 
 
 class TestDeterminism:
-    def test_bodies_identical_across_thread_counts(self, tmp_path):
-        cfg = write_config(tmp_path, BOOLEAN_CFG + (
+    def test_bodies_identical_across_thread_counts(self, tmp_path, capsys):
+        text = BOOLEAN_CFG + (
             "run.intensity = 0.8\nrun.trials = 40\nrun.seed = 12\n"
             "event.kind = long_edge\nevent.r = 1\nevent.c = 1\n"
-        ))
+        )
         bodies = []
         for threads in (1, 2, 8):
+            cfg = write_config(tmp_path, text + f"run.threads = {threads}\n", name=f"t{threads}.cfg")
             out = str(tmp_path / f"t{threads}.csv")
-            assert cli.main(["estimate", cfg, "--threads", str(threads), "--out", out]) == 0
+            assert cli.main(["estimate", cfg, "--out", out]) == 0
             bodies.append(read_body(out))
         assert bodies[0] == bodies[1] == bodies[2]
+        # the flag is gone: argparse rejects it with its usage error
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["estimate", cfg, "--threads", "2", "--out", out])
+        assert exited.value.code == 2 and "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_seed_override_changes_draws(self, tmp_path):
         cfg = write_config(tmp_path, BOOLEAN_CFG + (
@@ -462,3 +477,47 @@ class TestDeterminism:
         assert cli.main(["dump-graph", cfg, "--seed", "99", "--out", out3]) == 0
         assert read_body(out1) == read_body(out2)
         assert read_body(out1) != read_body(out3)
+
+
+# probe-h on a model whose first scale has hits: probe.factor = 0 once divided by zero there
+PARETO_PROBE_CFG = (
+    "model.variant = boolean\nmodel.d = 1\n"
+    "model.radius.kind = pareto\nmodel.radius.shape = 0.5\nmodel.radius.scale = 0.25\n"
+    "run.intensity = 1\nrun.trials = 30\ngrid.r_min = 1\ngrid.count = 4\n"
+)
+CONTRACT_BASES = {**{sub: (sub, text) for sub, text in DETERMINISM_CONFIGS.items()},
+                  "probe-h-pareto": ("probe-h", PARETO_PROBE_CFG)}
+# numeric keys the bases leave at their defaults, added to the subcommands that read them
+DEFAULTED_NUMERIC_KEYS = {
+    "estimate": ("run.margin", "run.confidence"),
+    "probe-h": ("probe.floor", "probe.factor", "grid.r_max"),
+}
+EXTREME_VALUES = ("0", "-1", "nan", "inf", "1e308")
+
+
+def _is_numeric(value: str) -> bool:
+    try:
+        [float(token) for token in value.split()]
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("base", sorted(CONTRACT_BASES))
+def test_extreme_values_exit_cleanly(tmp_path, capsys, base):
+    # each numeric key at each extreme value: success, a configuration error or a
+    # resource limit, never an exception out of main nor an internal failure; the
+    # suite turns RuntimeWarnings into errors, so a numpy overflow fails here too
+    subcommand, text = CONTRACT_BASES[base]
+    values = parse_config_text(text).values
+    keys = [k for k, v in values.items() if _is_numeric(v)] + list(DEFAULTED_NUMERIC_KEYS.get(subcommand, ()))
+    assert len(set(keys)) == len(keys)
+    assert len(keys) >= 4
+    codes = {}
+    for key in keys:
+        kept = "".join(f"{k} = {v}\n" for k, v in values.items() if k != key)
+        for value in EXTREME_VALUES:
+            cfg = write_config(tmp_path, kept + f"{key} = {value}\n", name="extreme.cfg")
+            codes[key, value] = cli.main([subcommand, cfg, "--out", str(tmp_path / "x.out")])
+    capsys.readouterr()
+    assert {case: code for case, code in codes.items() if code not in (0, 2, 3)} == {}

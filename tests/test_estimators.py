@@ -15,7 +15,7 @@ from scipy import integrate, stats
 import perco
 from perco import coupling, estimators
 from perco.coupling import check_thinning_bounds
-from perco.errors import ConfigurationError, InternalConsistencyError
+from perco.errors import ConfigurationError, InternalConsistencyError, ResourceError
 from perco.estimators import (
     Covering,
     _slope_fit,
@@ -240,16 +240,24 @@ class _Rows(Exception):
 _SOFT = classical_model(2, Kernel("plain"), polynomial_profile(2.0), beta=0.1)
 _SOFT_WEIGHTED = classical_model(2, Kernel("product"), indicator_profile(1.0), tau=2.5, beta=0.3)
 _LOOPS = {
-    "estimate_event": (estimators, lambda n, t: estimate_event(_SOFT, 8.0, crossing_spec(0.5), n, 3, t)),
+    "estimate_event": (estimators, lambda n: estimate_event(_SOFT, 8.0, crossing_spec(0.5), n, 3)),
     "check_covering_inequality": (
         estimators,
-        lambda n, t: check_covering_inequality(_SOFT, 1.5, 0.5, 1.0, 2.0, n, 4, t),
+        lambda n: check_covering_inequality(_SOFT, 1.5, 0.5, 1.0, 2.0, n, 4),
     ),
-    "estimate_mixing_cov": (estimators, lambda n, t: estimate_mixing_cov(_SOFT, 2.8, 0.2, [1.3, 0.0], n, 5, t)),
-    "check_thinning_bounds": (coupling, lambda n, t: check_thinning_bounds(_SOFT, 1.2, 2.4, 1.0, n, 6, t)),
-    "renorm_table": (estimators, lambda n, t: renorm_table(_SOFT, 2.5, [0.1], n, 7, t)),
-    "crossing_thresholds": (estimators, lambda n, t: crossing_thresholds(_SOFT_WEIGHTED, 2.4, 1.0, n, 8, t)),
+    "estimate_mixing_cov": (
+        estimators,
+        lambda n, threads=1: estimate_mixing_cov(_SOFT, 2.8, 0.2, [1.3, 0.0], n, 5, threads),
+    ),
+    "check_thinning_bounds": (
+        coupling,
+        lambda n, threads=1: check_thinning_bounds(_SOFT, 1.2, 2.4, 1.0, n, 6, threads),
+    ),
+    "renorm_table": (estimators, lambda n: renorm_table(_SOFT, 2.5, [0.1], n, 7)),
+    "crossing_thresholds": (estimators, lambda n: crossing_thresholds(_SOFT_WEIGHTED, 2.4, 1.0, n, 8)),
 }
+# the two checks that still take a threads keyword, which changes nothing
+_THREADED = ("estimate_mixing_cov", "check_thinning_bounds")
 
 
 @pytest.mark.parametrize("loop", sorted(_LOOPS))
@@ -257,9 +265,9 @@ def test_replicate_rows_independent_of_blocks_and_threads(loop, monkeypatch):
     module, check = _LOOPS[loop]
     real = estimators.run_replicates
 
-    def rows_of(n, threads):
+    def rows_of(n, **threads):
         with pytest.raises(_Rows) as caught:
-            check(n, threads)
+            check(n, **threads)
         return caught.value.args[0]
 
     def capture(sample, decide, n, seed, points=len):
@@ -270,30 +278,31 @@ def test_replicate_rows_independent_of_blocks_and_threads(loop, monkeypatch):
     block = estimators._BLOCK
     with monkeypatch.context() as alone:
         alone.setattr(estimators, "_BLOCK", 1)  # every replicate in a block of its own
-        want = rows_of(block + 1, 1)
+        want = rows_of(block + 1)
     assert want.shape[0] == block + 1
-    for threads in (1, 2, 3):
+    for threads in [{}] + ([{"threads": t} for t in (1, 2, 3)] if loop in _THREADED else []):
         for n in (1, block - 1, block, block + 1):
-            rows = rows_of(n, threads)
+            rows = rows_of(n, **threads)
             assert rows.dtype == want.dtype and np.array_equal(rows, want[:n]), (threads, n)
     monkeypatch.setattr(estimators, "_GROUP_POINTS", 40)  # a block built a cloud or two at a time
-    assert np.array_equal(rows_of(block + 1, 1), want)
+    assert np.array_equal(rows_of(block + 1), want)
 
 
 def test_sampling_entry_points_start_no_thread(monkeypatch):
-    # replicates run in the calling thread; the threads keyword is accepted and changes nothing
+    # replicates run in the calling thread; a rerun, or check_thinning_bounds' threads
+    # keyword, changes nothing
     def refuse(self):
         raise AssertionError(f"thread {self.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     calls = {
-        8: lambda t: estimate_event(_SOFT, 8.0, crossing_spec(0.5), 70, 3, t),
-        4: lambda t: check_thinning_bounds(_SOFT, 1.2, 2.4, 1.0, 70, 6, t),
-        3: lambda t: crossing_thresholds(_SOFT_WEIGHTED, 2.4, 1.0, 70, 8, t),
+        "estimate_event": [lambda: estimate_event(_SOFT, 8.0, crossing_spec(0.5), 70, 3)] * 2,
+        "check_thinning_bounds": [lambda t=t: check_thinning_bounds(_SOFT, 1.2, 2.4, 1.0, 70, 6, t) for t in (1, 4)],
+        "crossing_thresholds": [lambda: crossing_thresholds(_SOFT_WEIGHTED, 2.4, 1.0, 70, 8)] * 2,
     }
-    for threads, call in calls.items():
-        want, got = call(1), call(threads)
-        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, threads
+    for name, (first, second) in calls.items():
+        want, got = first(), second()
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, name
 
 
 def test_blocks_sample_and_build_a_group_at_a_time(monkeypatch):
@@ -379,10 +388,9 @@ def test_estimate_matches_naive_implementation_per_replicate():
 def test_estimate_thread_determinism():
     model = catalog(d=2)["plain-poly"]
     event = crossing_spec(1.0)
-    base = estimate_event(model, intensity=0.8, event=event, n=48, seed=5, threads=1)
-    for threads in (2, 8):
-        again = estimate_event(model, intensity=0.8, event=event, n=48, seed=5, threads=threads)
-        assert again == base
+    base = estimate_event(model, intensity=0.8, event=event, n=48, seed=5)
+    again = estimate_event(model, intensity=0.8, event=event, n=48, seed=5)
+    assert again == base
     other = estimate_event(model, intensity=0.8, event=event, n=48, seed=6)
     assert other.hits != base.hits or other is not base  # seed matters statistically
 
@@ -438,6 +446,21 @@ def test_probe_grid_validation():
         probe_long_edge_persistence(model, intensity=1.0, c=1.0, r_min=1.0, k=3, n=5, seed=0)
     with pytest.raises(ConfigurationError):
         probe_long_edge_persistence(model, intensity=1.0, c=1.0, r_min=2.0, r_max=1.0, k=4, n=5, seed=0)
+    with pytest.raises(ConfigurationError, match="r_max must be finite"):
+        probe_long_edge_persistence(model, intensity=1.0, c=1.0, r_min=2.0, r_max=math.inf, k=4, n=5, seed=0)
+
+
+def test_probe_thresholds_validation():
+    # the first scale has hits, where a decrease factor of 0 once divided by zero
+    model = boolean_model(1, RadiusLaw(kind="pareto", shape=0.5, scale=0.25))
+    probe = dict(intensity=1.0, c=1.0, r_min=1.0, k=4, n=30, seed=0)
+    bad = [(1.0, 4.0), (-0.1, 4.0), (math.nan, 4.0), (0.05, 0.0), (0.05, -1.0), (0.05, 0.5), (0.05, math.inf),
+           (0.05, math.nan)]
+    for floor, factor in bad:
+        with pytest.raises(ConfigurationError, match="floor" if factor == 4.0 else "factor"):
+            probe_long_edge_persistence(model, **probe, persistent_floor=floor, vanishing_factor=factor)
+    report = probe_long_edge_persistence(model, **probe, persistent_floor=0.0, vanishing_factor=1.0)
+    assert report.estimates[0].hits > 0 and report.verdict == "persistent"
 
 
 # ---------------------------------------------------------------- Campbell formulas
@@ -652,6 +675,24 @@ def test_covering_trivial_and_line():
     assert sorted(np.round(line.centers.ravel(), 9).tolist()) == [-2.0, 0.0, 2.0]
     with pytest.raises(ConfigurationError):
         covering_number(0.5, 2)
+
+
+def test_covering_rejects_unbounded_ratios_and_oversized_lattices(monkeypatch):
+    for q in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="finite"):
+            covering_number(q, 2)
+    with pytest.raises(ResourceError, match="COVERING_LATTICE_BUDGET"):
+        covering_number(1e308, 2)
+    with pytest.raises(ResourceError):
+        covering_number(3.0, 8)  # 11^8 lattice points
+    # the cap is read at every call, and a lattice of exactly the cap passes
+    monkeypatch.setattr(estimators, "COVERING_LATTICE_BUDGET", 25)
+    assert covering_number(2.0, 2).count > 1  # a 5 x 5 lattice
+    with pytest.raises(ResourceError, match="7\\^2 points"):
+        covering_number(3.0, 2)
+    model = catalog(d=2)["boolean-heavy"]
+    with pytest.raises(ConfigurationError, match="r must be positive and finite"):
+        check_covering_inequality(model, 0.3, r=math.inf, c=1.0, c_prime=2.0, n=10, seed=0)
 
 
 def test_covering_dense_sample_validity():

@@ -33,17 +33,7 @@ def test_every_imported_name_is_used():
 # parameters kept only so that existing callers still work; each is accepted and ignored
 UNREAD_PARAMETERS = {
     "src/perco/coupling.py": {("check_thinning_bounds", "threads")},
-    "src/perco/estimators.py": {
-        ("estimate_event", "threads"),
-        ("probe_long_edge_persistence", "threads"),
-        ("check_covering_inequality", "threads"),
-        ("estimate_mixing_cov", "threads"),
-    },
-    "src/perco/renorm.py": {
-        ("renorm_table", "threads"),
-        ("crossing_thresholds", "threads"),
-        ("bracket_crossing_intensity", "threads"),
-    },
+    "src/perco/estimators.py": {("estimate_mixing_cov", "threads")},
 }
 
 

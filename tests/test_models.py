@@ -404,3 +404,30 @@ def test_model_validation_errors():
         mark_averaged_connection(demo_generalized(2), 1.0)
     with pytest.raises(ContractError):
         validate_framework(demo_generalized(2))
+    for n_samples in (0, -1):
+        with pytest.raises(ConfigurationError, match="at least one sample"):
+            validate_framework(catalog(2)["plain-indicator"], n_samples=n_samples)
+
+
+def test_values_past_the_float_range():
+    # a radius or a sum of radii beyond the float range is inf, with no overflow warning
+    huge = boolean_model(2, RadiusLaw(kind="constant", radius=1e308))
+    assert pairwise_prob(huge, 0.5, 0.5, 1e300) == 1.0
+    assert pair_range(huge, 0.5, 0.5) == math.inf
+    light = RadiusLaw(kind="pareto", shape=0.01, scale=1.0)
+    assert light.radii(1e-10) == math.inf
+    assert pairwise_prob(boolean_model(1, light), [1e-10, 0.5], [0.5, 0.5], [1e300, 1e300]).tolist() == [1.0, 0.0]
+    # the sum survival stays finite up to the largest shape, where the radius is all but constant
+    at_cap = boolean_model(2, RadiusLaw(kind="pareto", shape=1000.0, scale=0.5))
+    near, below, past = mark_averaged_connection(at_cap, np.array([0.5, 1.0, 1.1]))
+    assert near == below == 1.0 and 0.0 <= past < 1e-50
+    for shape in (1000.5, 1e308, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="pareto shape"):
+            RadiusLaw(kind="pareto", shape=shape)
+    # the same bound holds the weight exponent tau - 1 of every weight kernel
+    heaviest = classical_model(2, Kernel("sum"), polynomial_profile(2.0), tau=1001.0)
+    # weights all but 1, so the sum kernel is all but 1/2: the profile at 10^2 / 2
+    assert mark_averaged_connection(heaviest, 10.0) == pytest.approx(50.0**-2, rel=1e-3)
+    for tau in (1001.5, 5000.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="weight kernels need"):
+            classical_model(2, Kernel("product"), indicator_profile(1.0), tau=tau)

@@ -6,10 +6,10 @@ from scipy import stats
 
 from perco.coupling import thin_pair
 from perco.errors import ConfigurationError, ResourceError
+from perco import ppp
 from perco.ppp import (
     ball_window,
     box_window,
-    point_budget,
     sample_ppp,
     unit_ball_volume,
 )
@@ -118,14 +118,20 @@ def test_budget_enforced(monkeypatch):
     w = box_window([0.0], [1.0])
     with pytest.raises(ResourceError):
         sample_ppp(w, 1e12, seed=0)
-    monkeypatch.setenv("PERCO_BUDGET_POINTS", "50")
-    assert point_budget() == 50
-    with pytest.raises(ResourceError):
+    monkeypatch.setattr(ppp, "DEFAULT_POINT_BUDGET", 50)  # read at every call
+    with pytest.raises(ResourceError, match="point cap DEFAULT_POINT_BUDGET is 50"):
         sample_ppp(w, 100.0, seed=0)
     assert len(sample_ppp(w, 10.0, seed=0)) >= 0
-    monkeypatch.setenv("PERCO_BUDGET_POINTS", "abc")
-    with pytest.raises(ConfigurationError):
-        point_budget()
+
+
+def test_window_volume_past_the_float_range_is_inf():
+    # radius**d overflows a float; the volume is inf, past every point cap
+    w = ball_window(1e308, d=2)
+    assert w.volume() == math.inf
+    with pytest.raises(ResourceError, match="point cap DEFAULT_POINT_BUDGET"):
+        sample_ppp(w, 1e-300, seed=0)
+    assert len(sample_ppp(w, 0.0, seed=0)) == 0
+    assert box_window([-1e308, 0.0], [1e308, 1.0]).volume() == math.inf
 
 
 def test_subwindow_counts_poisson():

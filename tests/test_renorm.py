@@ -156,8 +156,7 @@ def test_thresholds_match_rebuilt_thinned_graphs(name):
     lam_max, r_probe, n = 3.0, 1.5, 30
     for seed in (2, 3):
         thresholds = crossing_thresholds(model, lam_max, r_probe, n, seed)
-        for threads in (2, 3):
-            assert np.array_equal(crossing_thresholds(model, lam_max, r_probe, n, seed, threads), thresholds)
+        assert np.array_equal(crossing_thresholds(model, lam_max, r_probe, n, seed), thresholds)
         rep_seeds = [replicate_seed(seed, i) for i in range(n)]
         result = bracket_crossing_intensity(model, 0.1, lam_max, r_probe=r_probe, n=n, seed=seed, k_max=4)
         assert len(result.evaluations) >= 3
