@@ -46,7 +46,7 @@ from .graph import _TILE_ROWS, GeomGraph, build_graph, build_graphs
 from .models import ModelSpec, mark_averaged_connection, max_range, phibar_breakpoints
 from .ppp import Window, sample_ppp, sphere_surface, unit_ball_volume
 from .quadrature import DIVERGENT, INCONCLUSIVE, lens_volume, radial_integral, set_covariance_radial
-from .rng import mix
+from .rng import _absorb, mix
 
 DEFAULT_CONFIDENCE = 0.95
 PERSISTENT_FLOOR = 0.05
@@ -115,7 +115,11 @@ def run_replicates(sample, decide, n: int, seed: int, points=len) -> np.ndarray:
     """
     if n < 1:
         raise ConfigurationError("need at least one replicate")
-    seeds = [replicate_seed(seed, i) for i in range(n)]
+    # replicate_seed(seed, i) for every i at once: mix(seed, "rep") absorbs each index as mix absorbs a word
+    seeds = np.full(n, mix(seed, "rep"), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        _absorb(seeds, np.arange(n, dtype=np.uint64))
+    seeds = seeds.tolist()
     rows, group, samples, total = [], [], [], 0
     for i, s in enumerate(seeds, 1):
         group.append(s)

@@ -5,6 +5,9 @@ Two mechanisms, both derived from a single 64-bit master seed:
 * ``substream(seed, *path)`` gives a counter-based generator (Philox) keyed by
   the master seed and an integer path such as (replicate, purpose).  Replicates
   are therefore independent of execution order and thread schedule.
+  Per-replicate sampling builds none: ``ppp.sample_ppp`` rekeys its thread's
+  one Philox to the state ``substream(seed)`` starts in, so ``substream``
+  itself is left to ``models.validate_framework`` and the tests.
 * ``pair_uniforms(seed, i, j)`` maps an unordered index pair to a uniform in
   (0, 1) through a splitmix-style hash chain.  The value depends only on
   (seed, min(i,j), max(i,j)), which is what makes thinning couplings exact:

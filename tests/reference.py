@@ -17,8 +17,8 @@ from perco.errors import ConfigurationError, ContractError
 from perco.events import _Block, _require_ball, crossing_spec
 from perco.graph import build_graph
 from perco.models import ModelSpec, pairwise_prob
-from perco.ppp import MAX_DIMENSION, PointCloud
-from perco.rng import pair_uniforms
+from perco.ppp import MAX_DIMENSION, PointCloud, Window, unit_ball_volume
+from perco.rng import pair_uniforms, substream
 
 
 @dataclass(frozen=True)
@@ -210,3 +210,35 @@ def renorm_long_edge_endpoint_first(graphs, r):
     e = block.edges[near[block.edges[:, 0]] | near[block.edges[:, 1]]]
     diff = block.positions[e[:, 0]] - block.positions[e[:, 1]]
     return block._any(e[np.sum(diff * diff, axis=1) > r * r, 0])
+
+
+def sample_ppp_fresh_generator(window: Window, intensity: float, seed: int) -> PointCloud:
+    """sample_ppp's cloud drawn from a new ``substream(seed)``: gen.uniform candidates, np.sum acceptance.
+
+    The draws are the count, then the positions (a ball window rejects from
+    its bounding box in chunks), then the marks, redrawn while any is 0.
+    """
+    expected = intensity * window.volume() if intensity > 0 else 0.0
+    gen = substream(seed)
+    count = int(gen.poisson(expected))
+    lower, upper = window.bounding_box()
+    d = window.dimension
+    if window.kind == "box":
+        positions = gen.uniform(lower, upper, size=(count, d))
+    else:
+        accept_rate = unit_ball_volume(d) / 2.0**d
+        positions = np.empty((count, d))
+        filled = 0
+        while filled < count:
+            need = count - filled
+            draw = max(32, int(need / accept_rate * 1.2) + 16)
+            cand = gen.uniform(lower, upper, size=(draw, d))
+            good = cand[np.sum((cand - window.center) ** 2, axis=1) <= window.radius**2]
+            take = min(need, good.shape[0])
+            positions[filled : filled + take] = good[:take]
+            filled += take
+    marks = gen.uniform(0.0, 1.0, size=count)
+    while np.any(marks <= 0.0):
+        redraw = marks <= 0.0
+        marks[redraw] = gen.uniform(0.0, 1.0, size=int(redraw.sum()))
+    return PointCloud(window=window, intensity=intensity, positions=positions, marks=marks, seed=seed)

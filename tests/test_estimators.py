@@ -217,6 +217,22 @@ def test_run_replicates_shape_and_thread_independence():
             run_replicates(pair, block, n, seed=17)
 
 
+@pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 64, 65, 1000])
+def test_run_replicates_hands_decide_each_replicate_seed(seed, n):
+    # run_replicates derives its seeds in one array pass; each must be the int replicate_seed gives
+    sampled, decided = [], []
+
+    def decide(seeds, samples):
+        decided.extend(seeds)
+        return [True] * len(seeds)
+
+    run_replicates(lambda s: sampled.append(s) or s, decide, n, seed, points=lambda _: 1)
+    want = [replicate_seed(seed, i) for i in range(n)]
+    assert decided == want and sampled == want
+    assert all(type(s) is int for s in decided)
+
+
 def test_run_replicates_needs_one_row_per_replicate():
     # a decision with too many or too few rows is an error, not recut into n rows
     def one(rep_seed):

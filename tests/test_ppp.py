@@ -1,13 +1,18 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from reference import sample_ppp_fresh_generator
+
 from perco.coupling import thin_pair
 from perco.errors import ConfigurationError, ResourceError
 from perco import ppp
 from perco.ppp import (
+    PointCloud,
     ball_window,
     box_window,
     sample_ppp,
@@ -131,7 +136,77 @@ def test_window_volume_past_the_float_range_is_inf():
     with pytest.raises(ResourceError, match="point cap DEFAULT_POINT_BUDGET"):
         sample_ppp(w, 1e-300, seed=0)
     assert len(sample_ppp(w, 0.0, seed=0)) == 0
-    assert box_window([-1e308, 0.0], [1e308, 1.0]).volume() == math.inf
+    box = box_window([-1e308, 0.0], [1e308, 1.0])
+    assert box.volume() == math.inf
+    with pytest.raises(ResourceError, match="point cap DEFAULT_POINT_BUDGET"):
+        sample_ppp(box, 1e-300, seed=0)
+    # no point is drawn, so the box's width, inf here, is never formed
+    assert sample_ppp(box, 0.0, seed=0).positions.shape == (0, 2)
+
+
+def _same_cloud(a, b):
+    return (
+        a.positions.shape == b.positions.shape
+        and a.positions.tobytes() == b.positions.tobytes()
+        and a.marks.tobytes() == b.marks.tobytes()
+        and np.array_equal(a.ids, b.ids)
+    )
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sample_ppp_matches_a_fresh_substream_bit_for_bit(d):
+    # sample_ppp rekeys one generator per thread; a new substream(seed) must draw the same cloud
+    windows = [ball_window(1.3, d), box_window(-0.7 * np.arange(1, d + 1), np.full(d, 1.1))]
+    seeds = list(range(200)) + [-1, 2**63, 2**64 - 1]
+    for w in windows:
+        for mean in (0.0, 2.0, 12.0):
+            lam = mean / w.volume()
+            for seed in seeds:
+                got, want = sample_ppp(w, lam, seed), sample_ppp_fresh_generator(w, lam, seed)
+                assert _same_cloud(got, want), (w.kind, mean, seed)
+
+
+def test_sample_ppp_in_concurrent_threads_matches_a_serial_run():
+    w = ball_window(2.5, 2)
+    seeds = list(range(300))
+    serial = [sample_ppp(w, 1.5, s) for s in seeds]
+    got = [None] * len(seeds)
+    start = threading.Barrier(3)
+
+    def work(offset):
+        start.wait()
+        for k in range(offset, len(seeds), 3):
+            got[k] = sample_ppp(w, 1.5, seeds[k])
+
+    workers = [threading.Thread(target=work, args=(t,)) for t in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside sample_ppp calls, not only between them
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(_same_cloud(a, b) for a, b in zip(got, serial))
+
+
+def test_point_cloud_rejects_bad_marks_positions_and_counts():
+    w = box_window([0.0, 0.0], [1.0, 1.0])
+    good = np.array([[0.2, 0.3], [0.4, 0.5]])
+    PointCloud(window=w, intensity=1.0, positions=good, marks=[0.1, 0.9], seed=0)
+    for bad in (0.0, 1.0, math.nan, -0.1):
+        with pytest.raises(ConfigurationError, match="marks must lie strictly inside"):
+            PointCloud(window=w, intensity=1.0, positions=good, marks=[0.5, bad], seed=0)
+    for bad in (math.inf, -math.inf, math.nan):
+        positions = good.copy()
+        positions[1, 0] = bad
+        with pytest.raises(ConfigurationError, match="positions must be finite"):
+            PointCloud(window=w, intensity=1.0, positions=positions, marks=[0.1, 0.9], seed=0)
+    with pytest.raises(ConfigurationError, match="positions and marks disagree"):
+        PointCloud(window=w, intensity=1.0, positions=good, marks=[0.1, 0.5, 0.9], seed=0)
+    with pytest.raises(ConfigurationError, match="ids and positions disagree"):
+        PointCloud(window=w, intensity=1.0, positions=good, marks=[0.1, 0.9], seed=0, ids=[0, 1, 2])
 
 
 def test_subwindow_counts_poisson():
