@@ -5,9 +5,11 @@
 #
 # Run with `python3 demos/point_process_counts.py`.
 
+import math
+
 import numpy as np
 
-from perco import ball_window, box_window, sample_ppp
+from perco import ball_window, sample_ppp
 from perco.rng import mix
 
 
@@ -26,9 +28,9 @@ def count_stats(window, intensity, n_reps, seed):
 
 if __name__ == "__main__":
     cases = [
-        ("box [0,4]^2", box_window(np.zeros(2), np.full(2, 4.0)), 1.5),
+        ("disc, area 16", ball_window(4.0 / math.sqrt(math.pi), 2), 1.5),
         ("ball r=2, d=3", ball_window(2.0, 3), 0.8),
-        ("box [0,10], d=1", box_window(np.zeros(1), np.full(1, 10.0)), 5.0),
+        ("ball r=5, d=1", ball_window(5.0, 1), 5.0),
     ]
     print(f"{'window':>14s} {'target':>8s} {'mean':>8s} {'var':>8s} {'mark avg':>9s}")
     for label, window, lam in cases:

@@ -11,6 +11,7 @@ ignore the surrounding configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,10 +50,8 @@ def thin_pair(window: Window, lam_low: float, lam_high: float, seed: int) -> Cou
     retained or dropped consistently across any nested thinnings with
     decreasing ratios and the same seed.
     """
-    if lam_low < 0 or lam_high < 0:
-        raise ConfigurationError("intensities must be nonnegative")
-    if lam_low > lam_high:
-        raise ConfigurationError(f"thinning needs lam_low <= lam_high, got {lam_low} > {lam_high}")
+    if not (0 <= lam_low <= lam_high < math.inf):  # NaN fails every comparison
+        raise ConfigurationError(f"thinning needs 0 <= lam_low <= lam_high < inf, got {lam_low}, {lam_high}")
     high = sample_ppp(intensity=lam_high, window=window, seed=seed)
     if lam_high == 0.0:
         ratio = 0.0

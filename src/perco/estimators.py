@@ -45,7 +45,7 @@ from .events import EventSpec, local_crossing_spec, long_edge_hits, long_edge_sp
 from .graph import _TILE_ROWS, GeomGraph, build_graph, build_graphs
 from .models import ModelSpec, mark_averaged_connection, max_range, phibar_breakpoints
 from .ppp import Window, sample_ppp, sphere_surface, unit_ball_volume
-from .quadrature import DIVERGENT, INCONCLUSIVE, lens_volume, radial_integral, set_covariance_radial
+from .quadrature import DIVERGENT, INCONCLUSIVE, lens_volume, radial_integral
 from .rng import _absorb, mix
 
 DEFAULT_CONFIDENCE = 0.95
@@ -377,10 +377,9 @@ def campbell_total_edges(model: ModelSpec, intensity: float, window: Window) -> 
         raise ContractError("expected-count formulas need a pairwise connection function")
     if window.dimension != model.d:
         raise ConfigurationError("model dimension does not match window dimension")
-    # a ball's set covariance vanishes beyond its diameter; a box's raises on
-    # the shifts it does not cover
-    support = 2.0 * window.radius if window.kind == "ball" else math.inf
-    value = _phibar_integral(model, lambda rho: set_covariance_radial(window, rho), support=support)
+    # the window's set covariance, its lens with its rho-shift, vanishes beyond its diameter
+    R = window.radius
+    value = _phibar_integral(model, lambda rho: lens_volume(model.d, R, R, rho), support=2.0 * R)
     return 0.5 * intensity**2 * sphere_surface(model.d) * value
 
 
@@ -393,12 +392,10 @@ def truncation_bound(model: ModelSpec, intensity: float, window: Window, ell: fl
     moves the part of B(0, ell) outside the lens with B(rho u, R) out of the
     window, whatever the direction u, so by the Campbell formula the bound is
     intensity^2 * sigma_d * integral of rho^{d-1} phibar(rho) *
-    (|B(0, ell)| - lens(ell, R, rho)) over rho > R - ell.  Ball windows only;
-    returns 0 exactly for ell = 0.
+    (|B(0, ell)| - lens(ell, R, rho)) over rho > R - ell.  Returns 0 exactly
+    for ell = 0.
     """
     eff = model.base if model.variant == "generalized" else model
-    if window.kind != "ball":
-        raise ConfigurationError("truncation bound is implemented for ball windows")
     if window.dimension != eff.d:
         raise ConfigurationError("model dimension does not match window dimension")
     if ell == 0.0:

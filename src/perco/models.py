@@ -73,6 +73,9 @@ class Profile:
             heights = np.asarray(self.heights, dtype=float).reshape(-1)
             if knots.size < 1 or knots.shape != heights.shape:
                 raise ConfigurationError("custom profile needs matching knot/height arrays")
+            # NaN passes every comparison below, and an infinite knot every one but this
+            if not (np.isfinite(knots).all() and np.isfinite(heights).all()):
+                raise ConfigurationError("custom knots and heights must be finite")
             if np.any(knots <= 0) or np.any(np.diff(knots) <= 0):
                 raise ConfigurationError("custom knots must be positive and strictly increasing")
             if np.any(heights < 0) or np.any(heights > 1) or np.any(np.diff(heights) > 0):

@@ -1,6 +1,8 @@
-"""Marked Poisson point processes in finite observation windows.
+"""Marked Poisson point processes in ball windows about the origin.
 
-Points live in R^d (1 <= d <= 8) and carry an independent uniform(0,1) mark.
+Every event perco checks is read inside a ball about the origin, so a
+window has one shape: the closed ball B(0, R) in R^d (1 <= d <= 8), built by
+``ball_window(R, d)``.  Points carry an independent uniform(0,1) mark.
 Weights and radii used by the connection models are deterministic transforms
 of the mark, so a cloud fully determines the vertex data of a graph.
 ``sample_ppp`` raises ``ResourceError`` past the point cap, the module constant
@@ -14,6 +16,7 @@ as one drawn from a fresh substream at a fraction of the set-up cost.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 
@@ -37,92 +40,43 @@ def sphere_surface(d: int) -> float:
 
 
 def in_closed_ball(positions: np.ndarray, center, radius: float) -> np.ndarray:
-    """Which rows of ``positions`` (n, d) lie in the closed ball; windows, regions and events share it."""
+    """Which rows of ``positions`` (n, d) lie in the closed ball; regions and events share it."""
     return np.sum((positions - center) ** 2, axis=1) <= float(radius) ** 2
 
 
 @dataclass(frozen=True)
 class Window:
-    """Finite observation window: a ball or an axis-aligned box in R^d."""
+    """Finite observation window: the closed ball B(0, radius) in R^d."""
 
-    kind: str  # "ball" or "box"
-    center: np.ndarray | None = None
-    radius: float | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    radius: float
+    dimension: int
 
     def __post_init__(self):
-        if self.kind == "ball":
-            center = np.atleast_1d(np.asarray(self.center, dtype=float))
-            if center.ndim != 1 or not (1 <= center.size <= MAX_DIMENSION):
-                raise ConfigurationError(f"ball center must have 1..{MAX_DIMENSION} coordinates")
-            if not np.all(np.isfinite(center)):
-                raise ConfigurationError("ball center must be finite")
-            if self.radius is None or not math.isfinite(self.radius) or self.radius <= 0:
-                raise ConfigurationError(f"ball radius must be positive, got {self.radius}")
-            center.flags.writeable = False
-            object.__setattr__(self, "center", center)
-            object.__setattr__(self, "radius", float(self.radius))
-        elif self.kind == "box":
-            lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-            upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-            if lower.shape != upper.shape or lower.ndim != 1:
-                raise ConfigurationError("box corners must be vectors of equal length")
-            if not (1 <= lower.size <= MAX_DIMENSION):
-                raise ConfigurationError(f"box dimension must be 1..{MAX_DIMENSION}")
-            if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-                raise ConfigurationError("box corners must be finite")
-            if not np.all(lower < upper):
-                raise ConfigurationError("box requires lower < upper coordinatewise")
-            lower.flags.writeable = False
-            upper.flags.writeable = False
-            object.__setattr__(self, "lower", lower)
-            object.__setattr__(self, "upper", upper)
-        else:
-            raise ConfigurationError(f"unknown window kind {self.kind!r}")
-
-    @property
-    def dimension(self) -> int:
-        return self.center.size if self.kind == "ball" else self.lower.size
+        d = operator.index(self.dimension)
+        if not (1 <= d <= MAX_DIMENSION):
+            raise ConfigurationError(f"window dimension must be 1..{MAX_DIMENSION}, got {d}")
+        if not math.isfinite(self.radius) or self.radius <= 0:
+            raise ConfigurationError(f"ball radius must be positive, got {self.radius}")
+        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "dimension", d)
 
     def volume(self) -> float:
         """Lebesgue volume; inf past the float range, which the point cap then rejects."""
-        if self.kind == "ball":
-            try:
-                return unit_ball_volume(self.dimension) * self.radius**self.dimension
-            except OverflowError:
-                return math.inf
-        with np.errstate(over="ignore"):
-            return float(np.prod(self.upper - self.lower))
-
-    def contains(self, positions: np.ndarray) -> np.ndarray:
-        """Boolean mask of positions (n, d) lying inside the window."""
-        positions = np.atleast_2d(positions)
-        if self.kind == "ball":
-            return in_closed_ball(positions, self.center, self.radius)
-        return np.all((positions >= self.lower) & (positions <= self.upper), axis=1)
+        try:
+            return unit_ball_volume(self.dimension) * self.radius**self.dimension
+        except OverflowError:
+            return math.inf
 
     def contains_ball(self, center, radius: float) -> bool:
         """Whether the closed ball B(center, radius) lies inside the window."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.shape != (self.dimension,):
             raise ConfigurationError(f"ball center needs {self.dimension} coordinates, got {center.size}")
-        if self.kind == "ball":
-            return float(np.linalg.norm(center - self.center)) + radius <= self.radius
-        return bool(np.all(center - radius >= self.lower) and np.all(center + radius <= self.upper))
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == "ball":
-            return self.center - self.radius, self.center + self.radius
-        return self.lower, self.upper
+        return float(np.linalg.norm(center)) + radius <= self.radius
 
 
 def ball_window(radius: float, d: int) -> Window:
-    return Window(kind="ball", center=np.zeros(d), radius=radius)
-
-
-def box_window(lower, upper) -> Window:
-    return Window(kind="box", lower=lower, upper=upper)
+    return Window(radius=radius, dimension=d)
 
 
 @dataclass(frozen=True)
@@ -200,29 +154,22 @@ _thread_generator = _ThreadGenerator()
 
 
 def _uniform_in_window(window: Window, count: int, gen: np.random.Generator) -> np.ndarray:
-    d = window.dimension
-    if count == 0:  # no draw, so a box past the float range needs no width
+    d, radius = window.dimension, window.radius
+    if count == 0:  # no draw, so a radius past the float range needs no width
         return np.empty((0, d))
-    lower, upper = window.bounding_box()
-    if window.kind == "box":
-        return gen.uniform(lower, upper, size=(count, d))
-    # Ball: rejection from the bounding box.  Acceptance rate is the
-    # ball/box volume ratio, ~0.08 at d=6, so chunks are oversized a bit.
-    # The candidates are gen.uniform(lower, upper)'s, lower + width * u,
-    # scaled in place.
+    # Rejection from the cube [-R, R]^d.  Acceptance rate is the ball/cube
+    # volume ratio, ~0.08 at d=6, so chunks are oversized a bit.  The
+    # candidates are gen.uniform(-R, R)'s, -R + 2R * u, scaled in place.
     accept_rate = unit_ball_volume(d) / 2.0**d
-    width = upper - lower
     out = np.empty((count, d))
     filled = 0
     while filled < count:
         need = count - filled
         draw = max(32, int(need / accept_rate * 1.2) + 16)
         cand = gen.random((draw, d))
-        cand *= width
-        cand += lower
-        offset = cand - window.center
-        offset *= offset
-        good = cand[offset.sum(axis=1) <= window.radius**2]
+        cand *= 2.0 * radius
+        cand -= radius
+        good = cand[np.square(cand).sum(axis=1) <= radius**2]
         take = min(need, good.shape[0])
         out[filled : filled + take] = good[:take]
         filled += take

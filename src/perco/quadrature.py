@@ -1,4 +1,4 @@
-"""Radial integration with tail extrapolation, plus overlap geometry.
+"""Radial integration with tail extrapolation, plus ball geometry.
 
 The recurring quantity is I = integral of rho^{d-1} * f(rho) over [lower, inf)
 for a nonincreasing nonnegative f.  perco has one quadrature rule, a fixed
@@ -7,7 +7,9 @@ ln rho, and the mark average in ``models`` integrates over the weights with
 it too.  Finite-support integrands are summed segment by segment, one array
 call of f per segment; infinite tails are extrapolated by a power-law fit
 over the last decade, with an explicit divergence / inconclusive verdict
-instead of silent truncation.  The overlap volumes take rho arrays as well.
+instead of silent truncation.  ``lens_volume``, the overlap of two balls,
+takes rho arrays as well; with equal radii R it is the set covariance of
+the window B(0, R), which the Campbell totals integrate.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigurationError
-from .ppp import Window, unit_ball_volume
+from .ppp import unit_ball_volume
 
 FINITE = "finite"
 DIVERGENT = "divergent"
@@ -198,11 +200,6 @@ def lens_volume(d: int, r1: float, r2: float, rho):
     return float(out) if out.ndim == 0 else out
 
 
-def ball_overlap_volume(d: int, radius: float, rho):
-    """Volume of the intersection of two radius-R balls with centers rho apart."""
-    return lens_volume(d, radius, radius, rho)
-
-
 def cap_fraction_outside(d: int, s: float, rho: float, R: float) -> float:
     """Fraction of the sphere S(x, rho), |x| = s, lying outside B(0, R)."""
     if rho <= 0.0:
@@ -223,31 +220,3 @@ def cap_fraction_outside(d: int, s: float, rho: float, R: float) -> float:
         return 1.0
     a = (d - 1) / 2.0
     return 1.0 - float(special.betainc(a, a, 0.5 * (1.0 + t0)))
-
-
-def set_covariance_radial(window: Window, rho):
-    """Direction-averaged volume of the window intersected with its rho-shift.
-
-    Balls in any dimension; boxes in d <= 2 for shifts up to the shortest side
-    (the only regime the Campbell totals need).  Vectorised over a rho array;
-    a scalar rho gives a float.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ConfigurationError("shift must be nonnegative")
-    d = window.dimension
-    if window.kind == "ball":
-        return ball_overlap_volume(d, window.radius, rho)
-    sides = window.upper - window.lower
-    if np.any(rho > float(np.min(sides))):
-        raise ConfigurationError(
-            "box set covariance supported only for shifts up to the shortest side"
-        )
-    if d == 1:
-        out = float(sides[0]) - rho
-    elif d == 2:
-        a, b = float(sides[0]), float(sides[1])
-        out = (2.0 * math.pi * a * b - 4.0 * rho * (a + b) + 2.0 * rho * rho) / (2.0 * math.pi)
-    else:
-        raise ConfigurationError("box set covariance implemented for d <= 2 only; use a ball window")
-    return float(out) if out.ndim == 0 else out

@@ -13,6 +13,8 @@ import math
 import numpy as np
 from scipy import stats
 
+from reference import ball_of_volume
+
 from perco import cli
 from perco.coupling import check_thinning_bounds, coupled_graphs, induced_edges, thin_pair
 from perco.estimators import (
@@ -32,7 +34,7 @@ from perco.events import (
 )
 from perco.graph import build_graphs
 from perco.models import catalog, validate_framework
-from perco.ppp import ball_window, box_window, sample_ppp
+from perco.ppp import ball_window, sample_ppp
 from perco.renorm import renorm_table
 from perco.rng import mix
 
@@ -76,10 +78,10 @@ def poisson_bins(mean: float, n_reps: int, min_expected: float = 5.0):
 
 def test_criterion_01_ppp_counts_chi_square():
     cases = [
-        (1, 2.0, box_window([0.0], [5.0])),
-        (2, 0.5, box_window([0.0, 0.0], [4.0, 4.0])),
+        (1, 2.0, ball_of_volume(5.0, 1)),
+        (2, 0.5, ball_of_volume(16.0, 2)),
         (2, 1.5, ball_window(2.0, d=2)),
-        (3, 0.3, box_window([0.0] * 3, [3.0] * 3)),
+        (3, 0.3, ball_of_volume(27.0, 3)),
         (3, 1.0, ball_window(1.5, d=3)),
         (5, 0.8, ball_window(1.2, d=5)),
     ]

@@ -321,6 +321,16 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "'event.kind' must be one of long_edge, crossing, local_crossing, renorm_long_edge; got 'bridge'" in err
 
+    def test_non_finite_custom_profile_exits_2(self, tmp_path, capsys):
+        base = (
+            "model.variant = classical\nmodel.d = 2\nmodel.kernel = plain\nmodel.profile.kind = custom\n"
+            "run.intensity = 1\nevent.kind = crossing\nevent.r = 1\n"
+        )
+        for knots, heights in (("0.5 nan", "1 0.5"), ("0.5 inf", "1 0.5"), ("0.5 1", "nan 0.5")):
+            cfg = write_config(tmp_path, base + f"model.profile.knots = {knots}\nmodel.profile.heights = {heights}\n")
+            assert cli.main(["estimate", cfg, "--out", str(tmp_path / "x.csv")]) == 2, (knots, heights)
+            assert "custom knots and heights must be finite" in capsys.readouterr().err
+
     def test_budget_exceeded_exits_3_with_hint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ppp, "DEFAULT_POINT_BUDGET", 500)
         cfg = write_config(tmp_path, BOOLEAN_CFG + (

@@ -1,18 +1,22 @@
 """Thinning coupling: exactness, distribution of the thinned cloud, bounds."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
+
+from reference import ball_of_volume
 
 from perco.coupling import check_thinning_bounds, coupled_graphs, induced_edges, thin_pair
 from perco.errors import ConfigurationError, ContractError
 from perco.events import crossing_spec, long_edge_spec, renorm_long_edge_spec
 from perco.models import catalog, demo_generalized
-from perco.ppp import ball_window, box_window
+from perco.ppp import ball_window
 
 
 def test_thin_pair_equal_intensities():
-    pair = thin_pair(box_window([0, 0], [5, 5]), 2.0, 2.0, seed=1)
+    pair = thin_pair(ball_of_volume(25.0, 2), 2.0, 2.0, seed=1)
     assert pair.retained.all()
     assert np.array_equal(pair.low.positions, pair.high.positions)
     assert np.array_equal(pair.low.ids, pair.high.ids)
@@ -20,21 +24,29 @@ def test_thin_pair_equal_intensities():
 
 
 def test_thin_pair_zero_low():
-    pair = thin_pair(box_window([0, 0], [5, 5]), 0.0, 2.0, seed=2)
+    pair = thin_pair(ball_of_volume(25.0, 2), 0.0, 2.0, seed=2)
     assert len(pair.low) == 0
     assert not pair.retained.any()
 
 
 def test_thin_pair_validation():
     with pytest.raises(ConfigurationError):
-        thin_pair(box_window([0, 0], [1, 1]), 2.0, 1.0, seed=0)
+        thin_pair(ball_of_volume(1.0, 2), 2.0, 1.0, seed=0)
     with pytest.raises(ConfigurationError):
-        thin_pair(box_window([0, 0], [1, 1]), -1.0, 1.0, seed=0)
+        thin_pair(ball_of_volume(1.0, 2), -1.0, 1.0, seed=0)
+
+
+def test_thin_pair_rejects_nan_and_infinite_intensities():
+    # NaN fails every comparison, so an ordering check alone lets it through
+    window = ball_window(3.0, d=2)
+    for lam_low, lam_high in ((math.nan, 2.0), (1.0, math.nan), (math.nan, math.nan), (1.0, math.inf)):
+        with pytest.raises(ConfigurationError, match="0 <= lam_low <= lam_high < inf"):
+            thin_pair(window, lam_low, lam_high, seed=1)
 
 
 def test_thin_pair_half_retention_fraction():
     # ~10^4 points, retained fraction within 3 binomial sigmas of 1/2
-    window = box_window([0, 0], [100, 100])
+    window = ball_of_volume(10_000.0, 2)
     pair = thin_pair(window, 0.5, 1.0, seed=3)
     n = len(pair.high)
     assert n > 9000
@@ -54,7 +66,7 @@ def test_thin_pair_deterministic():
 
 def test_thinned_counts_poisson_chi2():
     # retained counts over replicates vs Poisson(lam_low * vol) at level 0.01
-    window = box_window([0, 0], [4, 4])
+    window = ball_of_volume(16.0, 2)
     lam_low, lam_high = 0.75, 1.5
     mean = lam_low * window.volume()  # 12
     counts = [int(thin_pair(window, lam_low, lam_high, seed=1000 + i).retained.sum()) for i in range(600)]

@@ -35,13 +35,13 @@ from perco.models import (
     pairwise_prob,
     polynomial_profile,
 )
-from perco.ppp import PointCloud, ball_window, box_window, sample_ppp
-from perco.quadrature import set_covariance_radial
+from perco.ppp import PointCloud, ball_window, sample_ppp
+from perco.quadrature import lens_volume
 from perco.rng import substream
 
 
 def test_empty_and_zero_probability():
-    w = box_window([0, 0], [5, 5])
+    w = reference.ball_of_volume(25.0, 2)
     cloud = sample_ppp(w, 0.0, seed=1)
     g = build_graph(cloud, catalog(2)["plain-indicator"], seed=2)
     assert g.n_edges == 0 and g.n_vertices == 0
@@ -53,7 +53,7 @@ def test_empty_and_zero_probability():
 
 
 def test_two_point_deterministic_edge():
-    w = box_window([0, 0], [4, 4])
+    w = ball_window(4.0 * math.sqrt(2), d=2)
     cloud = PointCloud(
         window=w,
         intensity=1.0,
@@ -84,7 +84,7 @@ def _layered_models(d: int = 2) -> dict:
 
 
 def test_determinism_and_method_equivalence():
-    cloud = sample_ppp(box_window([0, 0], [12, 12]), 1.5, seed=100)
+    cloud = sample_ppp(reference.ball_of_volume(144.0, 2), 1.5, seed=100)
     for name in ("boolean-fixed", "plain-indicator"):
         model = catalog(2)[name]
         g1 = build_graph(cloud, model, seed=7, method="exact")
@@ -105,7 +105,7 @@ def test_determinism_and_method_equivalence():
         assert np.array_equal(g2.edges, g3.edges), name
     # fractional probabilities do respond to the edge-randomness seed
     frac = catalog(2)["plain-poly"]
-    cloud = sample_ppp(box_window([0, 0], [10, 10]), 1.0, seed=55)
+    cloud = sample_ppp(reference.ball_of_volume(100.0, 2), 1.0, seed=55)
     e1 = build_graph(cloud, frac, seed=1).edges
     e2 = build_graph(cloud, frac, seed=2).edges
     assert e1.shape != e2.shape or not np.array_equal(e1, e2)
@@ -123,12 +123,12 @@ def test_matches_naive_reference_all_variants():
     ]
     for k, model in enumerate(models):
         for rep in range(6):
-            cloud = sample_ppp(box_window([0, 0], [6, 6]), 1.2, seed=5000 + 97 * k + rep)
+            cloud = sample_ppp(reference.ball_of_volume(36.0, 2), 1.2, seed=5000 + 97 * k + rep)
             fast = build_graph(cloud, model, seed=777 + rep, method="exact")
             slow = reference.naive_edges(cloud, model, 777 + rep)
             assert list(map(tuple, fast.edges.tolist())) == slow, (model.summary, rep)
     # grid path must agree with naive too wherever every pair's range is finite
-    cloud = sample_ppp(box_window([0, 0], [7, 7]), 1.5, seed=444)
+    cloud = sample_ppp(reference.ball_of_volume(49.0, 2), 1.5, seed=444)
     for model in (catalog(2)["boolean-fixed"], demo_generalized(2), *_layered_models(2).values()):
         fast = build_graph(cloud, model, seed=3, method="grid")
         assert list(map(tuple, fast.edges.tolist())) == reference.naive_edges(cloud, model, 3), model.summary
@@ -152,7 +152,7 @@ def test_custom_profile_tail_edges_kept():
     # heights fall linearly to zero between the last two knots; pairs in that
     # stretch connect with positive probability
     model = classical_model(2, Kernel("plain"), custom_profile([1.0, 4.0], [1.0, 0.0]))
-    cloud = sample_ppp(box_window([0, 0], [6, 6]), 1.0, seed=21)
+    cloud = sample_ppp(reference.ball_of_volume(36.0, 2), 1.0, seed=21)
     slow = reference.naive_edges(cloud, model, 5)
     lengths = [np.linalg.norm(cloud.positions[i] - cloud.positions[j]) for i, j in slow]
     assert max(lengths) > 1.0
@@ -184,7 +184,7 @@ def _layered_cases(draw):
     mark = st.one_of(st.sampled_from(_EXTREME_MARKS), st.floats(1e-12, 1.0 - 1e-12))
     marks = np.array(draw(st.lists(mark, min_size=n, max_size=n)), dtype=float)
     cloud = PointCloud(
-        window=box_window([0.0] * d, [side] * d),
+        window=ball_window(side * math.sqrt(d), d),  # holds the cube [0, side]^d
         intensity=1.0,
         positions=positions.reshape(n, d),
         marks=marks,
@@ -311,15 +311,15 @@ def test_components_match_bfs_many_graphs():
     outcomes = set()
     for rep in range(25):
         lam = float(gen.uniform(0.3, 2.0))
-        cloud = sample_ppp(box_window([0, 0], [8, 8]), lam, seed=600 + rep)
+        cloud = sample_ppp(reference.ball_of_volume(64.0, 2), lam, seed=600 + rep)
         if len(cloud) > 500:
             cloud = _head(cloud, 500)
         g = build_graph(cloud, catalog(2)["plain-indicator"], seed=rep)
         pos = cloud.positions
         for _ in range(4):
-            a = ball_region(pick.uniform(0.0, 8.0, size=2), pick.uniform(0.3, 2.0))
+            a = ball_region(pick.uniform(-4.0, 4.0, size=2), pick.uniform(0.3, 2.0))
             b = (ball_region if pick.uniform() < 0.5 else complement_region)(
-                pick.uniform(0.0, 8.0, size=2), pick.uniform(0.3, 5.0)
+                pick.uniform(-4.0, 4.0, size=2), pick.uniform(0.3, 5.0)
             )
             expected = reference.bfs_path_exists(
                 g.n_vertices,
@@ -334,17 +334,17 @@ def test_components_match_bfs_many_graphs():
 
 
 def test_edge_count_calibration_campbell():
-    # classical plain indicator(1), box [0,10]^2: mean edge count over replicates
+    # classical plain indicator(1), the disc of area 100: mean edge count over replicates
     # must match the Campbell double integral (lam^2/2) int int 1{|x-y|<=1}
     lam = 1.0
-    w = box_window([0.0, 0.0], [10.0, 10.0])
+    w = reference.ball_of_volume(100.0, 2)
     model = catalog(2)["plain-indicator"]
     oracle = (
         lam**2
         / 2.0
         * 2.0
         * math.pi
-        * integrate.quad(lambda rho: rho * set_covariance_radial(w, rho), 0.0, 1.0)[0]
+        * integrate.quad(lambda rho: rho * lens_volume(2, w.radius, w.radius, rho), 0.0, 1.0)[0]
     )
     reps = 600
     counts = np.array(
@@ -358,7 +358,7 @@ def test_edge_probability_calibration_by_distance_bin():
     # bin realized pairs by distance; empirical edge frequency matches the
     # mean pair probability within 3 binomial sigma per bin
     model = catalog(2)["plain-poly"]
-    cloud = sample_ppp(box_window([0, 0], [30, 30]), 1.2, seed=42)
+    cloud = sample_ppp(reference.ball_of_volume(900.0, 2), 1.2, seed=42)
     keep = min(len(cloud), 1200)
     cloud = _head(cloud, keep)
     g = build_graph(cloud, model, seed=5, method="exact")
@@ -404,7 +404,7 @@ def _tile_cases(draw):
     # ids out of index order: a tile orders its pairs by index, pair_uniforms by id
     ids = draw(st.permutations(range(3 * n)))[:n]
     cloud = PointCloud(
-        window=box_window([0.0] * d, [side] * d),
+        window=ball_window(side * math.sqrt(d), d),  # holds the cube [0, side]^d
         intensity=1.0,
         positions=np.array(rows, dtype=float).reshape(n, d),
         marks=np.array(marks, dtype=float),
@@ -429,7 +429,7 @@ def test_exact_sweep_independent_of_tile_rows(case):
 
 @st.composite
 def _cloud_blocks(draw):
-    """Clouds in one box, sized on both sides of the shared-screen limit (_TILE_ROWS points)."""
+    """Clouds in one cube, sized on both sides of the shared-screen limit (_TILE_ROWS points)."""
     d = draw(st.sampled_from([1, 2, 3]))
     # the soft model's edges all hang on their uniforms, so a pair keyed by another cloud's seed shows
     soft = classical_model(d, Kernel("plain"), polynomial_profile(2.0), beta=0.05)
@@ -444,7 +444,7 @@ def _cloud_blocks(draw):
         marks = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=n, max_size=n))
         ids = draw(st.permutations(range(3 * n)))[:n]  # ids out of index order
         clouds.append(PointCloud(
-            window=box_window([0.0] * d, [side] * d),
+            window=ball_window(side * math.sqrt(d), d),  # holds the cube [0, side]^d
             intensity=1.0,
             positions=np.array(rows, dtype=float).reshape(n, d),
             marks=np.array(marks, dtype=float),
@@ -459,7 +459,7 @@ def _cloud_blocks(draw):
 @settings(max_examples=60, deadline=None)
 @given(_cloud_blocks())
 def test_build_graphs_equals_naive_edges_per_cloud(case):
-    # the clouds overlap in one box, so a generalized model's damping would count the
+    # the clouds overlap in one cube, so a generalized model's damping would count the
     # other clouds' points if the block were damped as one configuration
     model, clouds, seeds = case
     graphs = build_graphs(clouds, model, seeds)
@@ -487,7 +487,7 @@ def test_tile_squared_distances_bitwise_equal_row_sums(d):
 
 
 def test_pair_budget_resource_error(monkeypatch):
-    cloud = sample_ppp(box_window([0, 0], [10, 10]), 2.0, seed=1)
+    cloud = sample_ppp(reference.ball_of_volume(100.0, 2), 2.0, seed=1)
     layered = catalog(2)["product-indicator"]
     exact = build_graph(cloud, layered, seed=1, method="exact")
     monkeypatch.setattr(graph, "DEFAULT_PAIR_BUDGET", 100)
@@ -509,7 +509,7 @@ def test_pair_budget_resource_error(monkeypatch):
 
 
 def test_dimension_mismatch_and_bad_method():
-    cloud = sample_ppp(box_window([0], [5]), 1.0, seed=1)
+    cloud = sample_ppp(reference.ball_of_volume(5.0, 1), 1.0, seed=1)
     with pytest.raises(ConfigurationError):
         build_graph(cloud, catalog(2)["plain-indicator"], seed=1)
     with pytest.raises(ConfigurationError, match="finite connection range for every pair of marks"):
@@ -618,7 +618,7 @@ def test_restricted_matches_bfs_oracle():
 
 
 def test_dump_graph_roundtrip():
-    cloud = sample_ppp(box_window([0, 0], [5, 5]), 1.0, seed=77)
+    cloud = sample_ppp(reference.ball_of_volume(25.0, 2), 1.0, seed=77)
     g = build_graph(cloud, catalog(2)["plain-indicator"], seed=1)
     buf = io.StringIO()
     dump_graph(g, buf)
@@ -637,12 +637,13 @@ def test_heavy_tail_pareto_grid_equals_exact():
     # unbounded radii still give every pair a finite range, so the
     # mark-layered search applies and finds the exact sweep's edges
     model = boolean_model(2, RadiusLaw(kind="pareto", shape=1.5, scale=0.2))
-    cloud = sample_ppp(box_window([0, 0], [8, 8]), 0.8, seed=10)
+    window = reference.ball_of_volume(64.0, 2)
+    cloud = sample_ppp(window, 0.8, seed=10)
     g = build_graph(cloud, model, seed=10)
     assert np.array_equal(g.edges, build_graph(cloud, model, seed=10, method="grid").edges)
     lengths = g.edge_lengths()
     if lengths.size:
-        assert lengths.max() <= math.hypot(8, 8)
+        assert lengths.max() <= 2.0 * window.radius
     # mark-average sanity: phibar(rho) <= 1 and nonincreasing on a coarse grid
     grid = np.linspace(0.1, 6.0, 12)
     vals = mark_averaged_connection(model, grid)

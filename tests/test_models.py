@@ -389,6 +389,21 @@ def test_pair_range_bounds_connection_and_shrinks_with_marks():
         assert np.all(pair_range(m, s * 0.5, t) >= r), m.summary
 
 
+def test_custom_profile_rejects_non_finite_knots_and_heights():
+    # NaN passes every ordering check, and an infinite last knot passes the increasing one
+    cases = [
+        ([0.5, math.nan], [1.0, 0.5]),
+        ([0.5, math.inf], [1.0, 0.5]),
+        ([math.nan], [1.0]),
+        ([0.5, 1.0], [1.0, math.nan]),
+        ([0.5, 1.0], [math.nan, 0.5]),
+        ([0.5, 1.0], [math.inf, 0.5]),
+    ]
+    for knots, heights in cases:
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            custom_profile(knots, heights)
+
+
 def test_model_validation_errors():
     with pytest.raises(ConfigurationError):
         boolean_model(0, RadiusLaw(kind="constant", radius=1.0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from reference import sample_ppp_fresh_generator
+from reference import ball_of_volume, sample_ppp_fresh_generator
 
 from perco.coupling import thin_pair
 from perco.errors import ConfigurationError, ResourceError
@@ -14,14 +14,12 @@ from perco import ppp
 from perco.ppp import (
     PointCloud,
     ball_window,
-    box_window,
     sample_ppp,
     unit_ball_volume,
 )
 
 
 def test_window_volumes_closed_form():
-    assert box_window([0, 0, 0], [1, 1, 1]).volume() == pytest.approx(1.0)
     assert ball_window(2.0, d=2).volume() == pytest.approx(4 * math.pi)
     assert ball_window(1.0, d=3).volume() == pytest.approx(4 * math.pi / 3)
     assert ball_window(1.0, d=1).volume() == pytest.approx(2.0)
@@ -38,7 +36,7 @@ def test_zero_intensity_gives_empty_cloud():
 
 
 def test_reproducibility_and_seed_sensitivity():
-    w = box_window([-1, -1], [1, 1])
+    w = ball_of_volume(4.0, 2)
     a = sample_ppp(w, 20.0, seed=123)
     b = sample_ppp(w, 20.0, seed=123)
     c = sample_ppp(w, 20.0, seed=124)
@@ -61,8 +59,8 @@ def test_mean_count_ball_d2():
 
 
 def test_count_distribution_chi2_box_d1():
-    # counts on [0,1] at lam=5 follow Poisson(5); chi-square GOF at level 0.01
-    w = box_window([0.0], [1.0])
+    # counts on an interval of length 1, the d = 1 ball, at lam=5 follow Poisson(5); chi-square GOF at level 0.01
+    w = ball_of_volume(1.0, 1)
     reps = 2000
     counts = np.array([len(sample_ppp(w, 5.0, seed=77000 + k)) for k in range(reps)])
     kmax = 12
@@ -88,11 +86,13 @@ def test_positions_uniform_in_ball():
         assert np.all(radii <= 2.0)
 
 
-def test_positions_uniform_in_box_and_marks_independent():
-    w = box_window([0.0, -2.0], [4.0, 2.0])
+def test_positions_uniform_in_angle_and_marks_independent():
+    # uniform in a disc: the angle is uniform on (-pi, pi] and (r/R)^2 on (0, 1)
+    w = ball_of_volume(16.0, 2)
     cloud = sample_ppp(w, 500.0 / w.volume(), seed=99)
-    for axis, (lo, hi) in enumerate([(0.0, 4.0), (-2.0, 2.0)]):
-        stat = stats.kstest(cloud.positions[:, axis], stats.uniform(lo, hi - lo).cdf)
+    x, y = cloud.positions.T
+    for values, (lo, hi) in ((np.arctan2(y, x), (-math.pi, math.pi)), ((x * x + y * y) / w.radius**2, (0.0, 1.0))):
+        stat = stats.kstest(values, stats.uniform(lo, hi - lo).cdf)
         assert stat.pvalue > 0.01
     stat = stats.kstest(cloud.marks, "uniform")
     assert stat.pvalue > 0.01
@@ -103,7 +103,7 @@ def test_positions_uniform_in_box_and_marks_independent():
 
 
 def test_ids_fresh_cloud_and_subset_inheritance():
-    w = box_window([0.0], [10.0])
+    w = ball_of_volume(10.0, 1)
     cloud = sample_ppp(w, 30.0, seed=5)
     assert np.array_equal(cloud.ids, np.arange(len(cloud), dtype=np.uint64))
     # the thinned cloud is the one sub-cloud perco makes
@@ -120,7 +120,7 @@ def test_ids_fresh_cloud_and_subset_inheritance():
 
 
 def test_budget_enforced(monkeypatch):
-    w = box_window([0.0], [1.0])
+    w = ball_of_volume(1.0, 1)
     with pytest.raises(ResourceError):
         sample_ppp(w, 1e12, seed=0)
     monkeypatch.setattr(ppp, "DEFAULT_POINT_BUDGET", 50)  # read at every call
@@ -135,13 +135,8 @@ def test_window_volume_past_the_float_range_is_inf():
     assert w.volume() == math.inf
     with pytest.raises(ResourceError, match="point cap DEFAULT_POINT_BUDGET"):
         sample_ppp(w, 1e-300, seed=0)
-    assert len(sample_ppp(w, 0.0, seed=0)) == 0
-    box = box_window([-1e308, 0.0], [1e308, 1.0])
-    assert box.volume() == math.inf
-    with pytest.raises(ResourceError, match="point cap DEFAULT_POINT_BUDGET"):
-        sample_ppp(box, 1e-300, seed=0)
-    # no point is drawn, so the box's width, inf here, is never formed
-    assert sample_ppp(box, 0.0, seed=0).positions.shape == (0, 2)
+    # no point is drawn, so the cube's width, inf here, is never formed
+    assert sample_ppp(w, 0.0, seed=0).positions.shape == (0, 2)
 
 
 def _same_cloud(a, b):
@@ -156,14 +151,14 @@ def _same_cloud(a, b):
 @pytest.mark.parametrize("d", range(1, 9))
 def test_sample_ppp_matches_a_fresh_substream_bit_for_bit(d):
     # sample_ppp rekeys one generator per thread; a new substream(seed) must draw the same cloud
-    windows = [ball_window(1.3, d), box_window(-0.7 * np.arange(1, d + 1), np.full(d, 1.1))]
+    windows = [ball_window(1.3, d), ball_of_volume(float(np.prod(1.1 + 0.7 * np.arange(1, d + 1))), d)]
     seeds = list(range(200)) + [-1, 2**63, 2**64 - 1]
     for w in windows:
         for mean in (0.0, 2.0, 12.0):
             lam = mean / w.volume()
             for seed in seeds:
                 got, want = sample_ppp(w, lam, seed), sample_ppp_fresh_generator(w, lam, seed)
-                assert _same_cloud(got, want), (w.kind, mean, seed)
+                assert _same_cloud(got, want), (w.radius, mean, seed)
 
 
 def test_sample_ppp_in_concurrent_threads_matches_a_serial_run():
@@ -192,7 +187,7 @@ def test_sample_ppp_in_concurrent_threads_matches_a_serial_run():
 
 
 def test_point_cloud_rejects_bad_marks_positions_and_counts():
-    w = box_window([0.0, 0.0], [1.0, 1.0])
+    w = ball_window(1.0, d=2)
     good = np.array([[0.2, 0.3], [0.4, 0.5]])
     PointCloud(window=w, intensity=1.0, positions=good, marks=[0.1, 0.9], seed=0)
     for bad in (0.0, 1.0, math.nan, -0.1):
@@ -211,13 +206,13 @@ def test_point_cloud_rejects_bad_marks_positions_and_counts():
 
 def test_subwindow_counts_poisson():
     # restriction of a PPP to a sub-window is again Poisson with the sub-volume mean
-    big = box_window([0.0, 0.0], [4.0, 4.0])
+    big = ball_of_volume(16.0, 2)
     reps = 1500
     lam = 2.0
     sub_counts = np.empty(reps, dtype=int)
     for k in range(reps):
         cloud = sample_ppp(big, lam, seed=31000 + k)
-        inside = np.all((cloud.positions >= 1.0) & (cloud.positions <= 2.0), axis=1)
+        inside = np.all((cloud.positions >= -0.5) & (cloud.positions <= 0.5), axis=1)
         sub_counts[k] = int(inside.sum())
     kmax = 8
     observed = np.array([(sub_counts == k).sum() for k in range(kmax)] + [(sub_counts >= kmax).sum()], dtype=float)
@@ -239,7 +234,7 @@ def test_marked_point():
     with pytest.raises(ConfigurationError):
         MarkedPoint(position=[0.0], mark=1.0)
     # tests/reference.py makes a MarkedPoint of each cloud row
-    cloud = sample_ppp(box_window([0.0], [5.0]), 4.0, seed=3)
+    cloud = sample_ppp(ball_of_volume(5.0, 1), 4.0, seed=3)
     if len(cloud):
         q = MarkedPoint(position=cloud.positions[0], mark=float(cloud.marks[0]))
         assert q.position[0] == cloud.positions[0, 0]
@@ -250,22 +245,22 @@ def test_window_validation():
     with pytest.raises(ConfigurationError):
         ball_window(-1.0, d=2)
     with pytest.raises(ConfigurationError):
-        box_window([0.0, 0.0], [1.0, 0.0])
+        ball_window(0.0, d=2)
     with pytest.raises(ConfigurationError):
-        box_window([0.0] * 9, [1.0] * 9)
+        ball_window(1.0, d=9)
     with pytest.raises(ConfigurationError):
-        sample_ppp(box_window([0.0], [1.0]), -1.0, seed=0)
+        ball_window(1.0, d=0)
+    with pytest.raises(ConfigurationError):
+        sample_ppp(ball_window(0.5, d=1), -1.0, seed=0)
 
 
-def test_contains_and_contains_ball():
+def test_contains_ball():
     w = ball_window(2.0, d=2)
-    pts = np.array([[0.0, 0.0], [1.9, 0.0], [2.1, 0.0]])
-    assert list(w.contains(pts)) == [True, True, False]
     assert w.contains_ball([0.5, 0.0], 1.0)
     assert not w.contains_ball([1.5, 0.0], 1.0)
-    b = box_window([0.0, 0.0], [4.0, 4.0])
-    assert b.contains_ball([2.0, 2.0], 2.0)
-    assert not b.contains_ball([1.0, 2.0], 1.5)
+    b = ball_of_volume(16.0, 2)
+    assert b.contains_ball([0.0, 0.0], b.radius)  # the window is closed
+    assert not b.contains_ball([1.0, 2.0], 0.1)
     # a center of another dimension raises instead of broadcasting
     for window in (w, b):
         for center in ([0.5], [0.5, 0.5, 0.5]):

@@ -8,16 +8,9 @@ from scipy import integrate
 
 from reference import radial_integral_quad
 
-from perco.errors import ConfigurationError
 from perco.models import catalog, mark_averaged_connection, phibar_breakpoints
-from perco.ppp import ball_window, box_window, sphere_surface, unit_ball_volume
-from perco.quadrature import (
-    ball_overlap_volume,
-    cap_fraction_outside,
-    lens_volume,
-    radial_integral,
-    set_covariance_radial,
-)
+from perco.ppp import sphere_surface, unit_ball_volume
+from perco.quadrature import cap_fraction_outside, lens_volume, radial_integral
 
 
 def test_radial_integral_finite_support_exact():
@@ -86,18 +79,19 @@ def test_radial_integral_inconclusive_on_oscillation():
 
 
 def test_ball_overlap_closed_forms():
+    # two balls of equal radius R
     # d=1: overlap of [-R,R] and [rho-R, rho+R] is 2R - rho
-    assert ball_overlap_volume(1, 1.0, 0.5) == pytest.approx(1.5)
+    assert lens_volume(1, 1.0, 1.0, 0.5) == pytest.approx(1.5)
     # d=2: lens area formula
     R, rho = 1.0, 0.8
     lens = 2 * R * R * math.acos(rho / (2 * R)) - 0.5 * rho * math.sqrt(4 * R * R - rho * rho)
-    assert ball_overlap_volume(2, R, rho) == pytest.approx(lens, rel=1e-12)
+    assert lens_volume(2, R, R, rho) == pytest.approx(lens, rel=1e-12)
     # d=3: standard sphere-sphere intersection
     R, rho = 2.0, 1.0
     cap = math.pi * (2 * R - rho) ** 2 * (rho**2 + 4 * rho * R) / 12.0
-    assert ball_overlap_volume(3, R, rho) == pytest.approx(cap, rel=1e-12)
-    assert ball_overlap_volume(2, 1.0, 2.0) == 0.0
-    assert ball_overlap_volume(2, 1.0, 0.0) == pytest.approx(math.pi)
+    assert lens_volume(3, R, R, rho) == pytest.approx(cap, rel=1e-12)
+    assert lens_volume(2, 1.0, 1.0, 2.0) == 0.0
+    assert lens_volume(2, 1.0, 1.0, 0.0) == pytest.approx(math.pi)
 
 
 def test_lens_volume_closed_forms():
@@ -167,24 +161,10 @@ def test_cap_fraction_outside_monte_carlo():
     assert cap_fraction_outside(3, 0.0, 1.5, 1.0) == 1.0
 
 
-def test_set_covariance_ball_and_box():
-    w = ball_window(2.0, d=2)
-    assert set_covariance_radial(w, 0.0) == pytest.approx(4 * math.pi)
-    assert set_covariance_radial(w, 4.0) == 0.0
-    # box d=2 angular-average formula vs brute-force 2D integral of the
-    # translated-overlap volume over directions
-    bw = box_window([0.0, 0.0], [3.0, 5.0])
-    for rho in (0.5, 1.5, 2.9):
-        def overlap(theta):
-            dx, dy = abs(rho * math.cos(theta)), abs(rho * math.sin(theta))
-            return (3.0 - dx) * (5.0 - dy)
-
-        brute = integrate.quad(overlap, 0, 2 * math.pi, limit=200)[0] / (2 * math.pi)
-        assert set_covariance_radial(bw, rho) == pytest.approx(brute, rel=1e-9)
-    with pytest.raises(ConfigurationError):
-        set_covariance_radial(bw, 3.5)
-    bw1 = box_window([0.0], [4.0])
-    assert set_covariance_radial(bw1, 1.0) == pytest.approx(3.0)
+def test_set_covariance_ball():
+    # the window B(0, 2) meets its rho-shift in a lens: its whole area at 0, nothing past its diameter
+    assert lens_volume(2, 2.0, 2.0, 0.0) == pytest.approx(4 * math.pi)
+    assert lens_volume(2, 2.0, 2.0, 4.0) == 0.0
 
 
 def test_campbell_identity_ball():
@@ -195,7 +175,7 @@ def test_campbell_identity_ball():
     def f(rho):
         return math.exp(-rho)
 
-    val = integrate.quad(lambda rho: f(rho) * set_covariance_radial(ball_window(R, d=1), rho) * 2, 0, 2 * R)[0]
+    val = integrate.quad(lambda rho: f(rho) * lens_volume(1, R, R, rho) * 2, 0, 2 * R)[0]
     brute = integrate.dblquad(lambda y, x: f(abs(x - y)), -R, R, -R, R)[0]
     assert val == pytest.approx(brute, rel=1e-6)
     assert unit_ball_volume(1) == pytest.approx(2.0)
