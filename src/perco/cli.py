@@ -98,19 +98,17 @@ def _event_from_config(cfg: ParsedConfig, d: int) -> EventSpec:
     kind = cfg.get_str("event.kind", choices=EVENT_KINDS, required=True)
     r = cfg.get_float("event.r", required=True)
     if kind == "long_edge":
-        cfg.forbid("event.center", "only local crossings take a center")
-        return long_edge_spec(r, cfg.get_float("event.c", required=True))
-    cfg.forbid("event.c", "only long-edge events take a length factor")
-    if kind == "crossing":
-        cfg.forbid("event.center", "only local crossings take a center")
-        return crossing_spec(r)
-    if kind == "renorm_long_edge":
-        cfg.forbid("event.center", "only local crossings take a center")
-        return renorm_long_edge_spec(r)
-    center = cfg.get_floats("event.center") if cfg.has("event.center") else None
-    if center is not None and len(center) != d:
-        raise cfg.error("event.center", f"event.center needs {d} coordinates")
-    return local_crossing_spec(r, center=center)
+        c = cfg.get_float("event.c", required=True)
+        with cfg.at("event.r", "event.c"):
+            return long_edge_spec(r, c)
+    if kind == "local_crossing":
+        center = cfg.get_floats("event.center")
+        if center is not None and len(center) != d:
+            raise cfg.error("event.center", f"event.center needs {d} coordinates")
+        with cfg.at("event.r", "event.center"):
+            return local_crossing_spec(r, center=center)
+    with cfg.at("event.r"):
+        return crossing_spec(r) if kind == "crossing" else renorm_long_edge_spec(r)
 
 
 def cmd_estimate(cfg: ParsedConfig, out: str) -> list:
@@ -157,7 +155,7 @@ def cmd_probe_h(cfg: ParsedConfig, out: str) -> list:
     intensity = read_intensity(cfg)
     run = read_run_settings(cfg)
     r_min = cfg.get_float("grid.r_min", required=True)
-    r_max = cfg.get_float("grid.r_max") if cfg.has("grid.r_max") else None
+    r_max = cfg.get_float("grid.r_max")
     k = cfg.get_int("grid.count", default=6)
     c = cfg.get_float("probe.c", default=1.0)
     floor = cfg.get_float("probe.floor", default=PERSISTENT_FLOOR)
@@ -285,8 +283,8 @@ def cmd_renorm_table(cfg: ParsedConfig, out: str) -> list:
     intensity = read_intensity(cfg)
     run = read_run_settings(cfg)
     scales = cfg.get_floats("renorm.scales", required=True)
-    c_mix = cfg.get_float("renorm.c_mix") if cfg.has("renorm.c_mix") else None
-    zeta = cfg.get_float("renorm.zeta") if cfg.has("renorm.zeta") else None
+    c_mix = cfg.get_float("renorm.c_mix")
+    zeta = cfg.get_float("renorm.zeta")
     cfg.ensure_all_used()
     table = renorm_table(
         model, intensity, scales,
@@ -319,7 +317,7 @@ def cmd_bracket_lambda(cfg: ParsedConfig, out: str) -> list:
     run = read_run_settings(cfg)
     lam_min = cfg.get_float("bracket.lam_min", required=True)
     lam_max = cfg.get_float("bracket.lam_max", required=True)
-    r_probe = cfg.get_float("bracket.r_probe") if cfg.has("bracket.r_probe") else None
+    r_probe = cfg.get_float("bracket.r_probe")
     threshold = cfg.get_float("bracket.threshold", default=0.5)
     k_max = cfg.get_int("bracket.k_max", default=BRACKET_MAX_ITER)
     cfg.ensure_all_used()

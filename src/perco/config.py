@@ -4,8 +4,12 @@ One assignment per line, dotted keys for grouping ("model.profile.delta =
 1.5"), '#' comments, blank lines ignored.  Parsing records the line number of
 every key so validation errors point at the offending line.  Keys are tracked
 as they are consumed; anything left over after a runner has read its
-parameters is reported as unknown or inapplicable, before any sampling
-starts.
+parameters is reported as unknown or inapplicable (ensure_all_used), before
+any sampling starts.  That is the one rule for keys a subcommand does not
+read: a model.* or event.* key that the chosen variant, profile, radius law
+or event kind does not take is left over like a misspelt one.  A
+ConfigurationError from a model, profile, radius-law or event constructor is
+re-raised at the lines of the keys that constructor read (ParsedConfig.at).
 
 Each subcommand reads only the run.* keys it uses: run.seed and run.threads
 everywhere (read_seed), run.trials in the seven sampling subcommands
@@ -18,6 +22,7 @@ or where replicates run: they all run in the calling thread.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +53,20 @@ class ParsedConfig:
     lines: dict = field(default_factory=dict)
     used: set = field(default_factory=set)
 
+    def _where(self, keys) -> str:
+        lines = sorted(self.lines[key] for key in keys if key in self.lines)
+        return f"{self.path}:{','.join(map(str, lines))}" if lines else self.path
+
     def error(self, key: str, message: str) -> ConfigurationError:
-        line = self.lines.get(key)
-        where = f"{self.path}:{line}" if line is not None else self.path
-        return ConfigurationError(f"{where}: {message}")
+        return ConfigurationError(f"{self._where((key,))}: {message}")
+
+    @contextmanager
+    def at(self, *keys: str):
+        """Re-raise a ConfigurationError from the block at the lines of ``keys`` that are set."""
+        try:
+            yield
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{self._where(keys)}: {exc}") from None
 
     def has(self, key: str) -> bool:
         return key in self.values
@@ -70,41 +85,25 @@ class ParsedConfig:
             raise self.error(key, f"'{key}' must be one of {', '.join(choices)}; got '{value}'")
         return value
 
-    def get_float(self, key: str, default: float | None = None, required: bool = False):
+    def _parsed(self, key: str, default, required: bool, convert, expects: str):
         value, present = self._raw(key, default, required)
         if not present:
             return value
         try:
-            return float(value)
+            return convert(value)
         except ValueError:
-            raise self.error(key, f"'{key}' expects a number; got '{value}'") from None
+            raise self.error(key, f"'{key}' expects {expects}; got '{value}'") from None
+
+    def get_float(self, key: str, default: float | None = None, required: bool = False):
+        return self._parsed(key, default, required, float, "a number")
 
     def get_int(self, key: str, default: int | None = None, required: bool = False):
-        value, present = self._raw(key, default, required)
-        if not present:
-            return value
-        try:
-            return int(value)
-        except ValueError:
-            raise self.error(key, f"'{key}' expects an integer; got '{value}'") from None
+        return self._parsed(key, default, required, int, "an integer")
 
     def get_floats(self, key: str, default=None, required: bool = False):
-        value, present = self._raw(key, default, required)
-        if not present:
-            return value
-        try:
-            parsed = [float(tok) for tok in value.split()]
-        except ValueError:
-            raise self.error(key, f"'{key}' expects space-separated numbers; got '{value}'") from None
-        if not parsed:
-            raise self.error(key, f"'{key}' is empty")
-        return parsed
-
-    def forbid(self, prefix_or_key: str, why: str):
-        for key in self.values:
-            if key == prefix_or_key or key.startswith(prefix_or_key + "."):
-                if key not in self.used:
-                    raise self.error(key, f"'{key}' does not apply: {why}")
+        return self._parsed(
+            key, default, required, lambda text: [float(tok) for tok in text.split()], "space-separated numbers"
+        )
 
     def ensure_all_used(self):
         for key in self.values:
@@ -153,56 +152,53 @@ def _build_profile(cfg: ParsedConfig) -> Profile:
     kind = cfg.get_str("model.profile.kind", choices=PROFILE_KINDS, required=True)
     if kind == "indicator":
         theta = cfg.get_float("model.profile.theta", default=1.0)
-        cfg.forbid("model.profile.delta", "indicator profiles take only a threshold")
-        cfg.forbid("model.profile.knots", "indicator profiles take only a threshold")
-        cfg.forbid("model.profile.heights", "indicator profiles take only a threshold")
-        return indicator_profile(theta)
+        with cfg.at("model.profile.theta"):
+            return indicator_profile(theta)
     if kind == "polynomial":
         delta = cfg.get_float("model.profile.delta", required=True)
-        cfg.forbid("model.profile.theta", "polynomial profiles take only a decay exponent")
-        return polynomial_profile(delta)
+        with cfg.at("model.profile.delta"):
+            return polynomial_profile(delta)
     knots = cfg.get_floats("model.profile.knots", required=True)
     heights = cfg.get_floats("model.profile.heights", required=True)
     if len(knots) != len(heights):
         raise cfg.error("model.profile.heights", "knots and heights must have the same length")
-    return custom_profile(knots, heights)
+    with cfg.at("model.profile.knots", "model.profile.heights"):
+        return custom_profile(knots, heights)
 
 
 def build_model(cfg: ParsedConfig) -> ModelSpec:
-    """Construct and validate the model before anything is sampled."""
+    """Construct and validate the model before anything is sampled.
+
+    A constructor's ConfigurationError is re-raised at the lines of the keys it read.
+    """
     variant = cfg.get_str("model.variant", choices=MODEL_VARIANTS, required=True)
     d = cfg.get_int("model.d", required=True)
     if variant == "boolean":
-        for prefix in ("model.kernel", "model.profile", "model.tau", "model.beta", "model.damping"):
-            cfg.forbid(prefix, "the boolean variant is parameterized by its radius law alone")
         kind = cfg.get_str("model.radius.kind", choices=RADIUS_KINDS, required=True)
         if kind == "constant":
-            cfg.forbid("model.radius.shape", "constant radii take only a value")
-            cfg.forbid("model.radius.scale", "constant radii take only a value")
-            law = RadiusLaw(kind="constant", radius=cfg.get_float("model.radius.value", required=True))
+            radius = cfg.get_float("model.radius.value", required=True)
+            with cfg.at("model.radius.value"):
+                law = RadiusLaw(kind="constant", radius=radius)
         else:
-            cfg.forbid("model.radius.value", "heavy-tail radii take shape and scale")
-            law = RadiusLaw(
-                kind="pareto",
-                shape=cfg.get_float("model.radius.shape", required=True),
-                scale=cfg.get_float("model.radius.scale", required=True),
-            )
-        return boolean_model(d=d, radius_law=law)
+            shape = cfg.get_float("model.radius.shape", required=True)
+            scale = cfg.get_float("model.radius.scale", required=True)
+            with cfg.at("model.radius.shape", "model.radius.scale"):
+                law = RadiusLaw(kind="pareto", shape=shape, scale=scale)
+        with cfg.at("model.d"):
+            return boolean_model(d=d, radius_law=law)
 
-    cfg.forbid("model.radius", "weight-kernel variants draw weights from marks, not radii")
     kernel = Kernel(cfg.get_str("model.kernel", choices=KERNEL_KINDS, required=True))
     profile = _build_profile(cfg)
     tau = cfg.get_float("model.tau", default=2.0)
     beta = cfg.get_float("model.beta", default=1.0)
-    base = classical_model(d, kernel, profile, tau=tau, beta=beta)
+    with cfg.at("model.d", "model.tau", "model.beta"):
+        base = classical_model(d, kernel, profile, tau=tau, beta=beta)
     if variant == "classical":
-        cfg.forbid("model.damping", "damping applies only to the context-dependent variant")
         return base
-    return generalized_model(
-        base,
-        damping_radius=cfg.get_float("model.damping.radius", default=1.0),
-        damping_factor=cfg.get_float("model.damping.factor", default=0.5),
-    )
+    damping_radius = cfg.get_float("model.damping.radius", default=1.0)
+    damping_factor = cfg.get_float("model.damping.factor", default=0.5)
+    with cfg.at("model.damping.radius", "model.damping.factor"):
+        return generalized_model(base, damping_radius=damping_radius, damping_factor=damping_factor)
 
 
 @dataclass(frozen=True)

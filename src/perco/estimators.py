@@ -269,7 +269,7 @@ def probe_long_edge_persistence(
     campbell = []
     for j, r in enumerate(r_values):
         event = long_edge_spec(r, c)
-        estimates.append(estimate_event(model, intensity, event, n, int(mix(seed, "scale", j))))
+        estimates.append(estimate_event(model, intensity, event, n, replicate_seed(seed, j)))
         campbell.append(_campbell_or_nan(model, intensity, r, c))
 
     slope, slope_ci = _slope_fit(r_values, estimates)

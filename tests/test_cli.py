@@ -39,6 +39,7 @@ model.d = 2
 model.radius.kind = constant
 model.radius.value = 0.5
 """
+CLASSICAL_INDICATOR_CFG = "model.variant = classical\nmodel.d = 2\nmodel.kernel = plain\nmodel.profile.kind = indicator\n"
 
 
 class TestParsing:
@@ -113,22 +114,24 @@ class TestBuildModel:
 
     def test_cross_variant_keys_rejected_at_their_line(self):
         cfg = parse_config_text(BOOLEAN_CFG + "model.kernel = plain\n", path="m.cfg")
-        with pytest.raises(ConfigurationError, match=r"m\.cfg:6: 'model.kernel' does not apply"):
-            build_model(cfg)
+        build_model(cfg)
+        with pytest.raises(ConfigurationError, match=r"m\.cfg:6: unknown or inapplicable key 'model.kernel'"):
+            cfg.ensure_all_used()
         cfg = parse_config_text(
             "model.variant = classical\nmodel.d = 2\nmodel.kernel = plain\n"
             "model.profile.kind = indicator\nmodel.radius.value = 1\n",
             path="m.cfg",
         )
-        with pytest.raises(ConfigurationError, match=r"m\.cfg:5: 'model.radius.value' does not apply"):
-            build_model(cfg)
+        build_model(cfg)
+        with pytest.raises(ConfigurationError, match=r"m\.cfg:5: unknown or inapplicable key 'model.radius.value'"):
+            cfg.ensure_all_used()
 
     def test_profile_parameter_consistency(self):
         base = "model.variant = classical\nmodel.d = 2\nmodel.kernel = plain\n"
-        with pytest.raises(ConfigurationError, match="'model.profile.delta' does not apply"):
-            build_model(parse_config_text(
-                base + "model.profile.kind = indicator\nmodel.profile.delta = 2\n"
-            ))
+        cfg = parse_config_text(base + "model.profile.kind = indicator\nmodel.profile.delta = 2\n")
+        build_model(cfg)
+        with pytest.raises(ConfigurationError, match="unknown or inapplicable key 'model.profile.delta'"):
+            cfg.ensure_all_used()
         with pytest.raises(ConfigurationError, match="missing required key 'model.profile.delta'"):
             build_model(parse_config_text(base + "model.profile.kind = polynomial\n"))
         with pytest.raises(ConfigurationError, match="same length"):
@@ -148,8 +151,9 @@ class TestBuildModel:
             "model.variant = boolean\nmodel.d = 2\nmodel.radius.kind = constant\n"
             "model.radius.value = 1\nmodel.radius.shape = 2\n"
         )
-        with pytest.raises(ConfigurationError, match="'model.radius.shape' does not apply"):
-            build_model(bad)
+        build_model(bad)
+        with pytest.raises(ConfigurationError, match="unknown or inapplicable key 'model.radius.shape'"):
+            bad.ensure_all_used()
 
     def test_run_settings_validation(self, tmp_path, capsys):
         for run_lines, where, message in [
@@ -331,6 +335,27 @@ class TestCliErrors:
             assert cli.main(["estimate", cfg, "--out", str(tmp_path / "x.csv")]) == 2, (knots, heights)
             assert "custom knots and heights must be finite" in capsys.readouterr().err
 
+    def test_model_and_event_errors_exit_2_at_the_lines_they_read(self, tmp_path, capsys):
+        event = "run.intensity = 1\nevent.kind = crossing\nevent.r = 1\n"
+        cases = [
+            (CLASSICAL_INDICATOR_CFG + "model.profile.theta = -1\n" + event,
+             "5", "indicator threshold must be positive, got -1.0"),
+            (CLASSICAL_INDICATOR_CFG.replace("indicator", "custom") + "model.profile.knots = 2 1\n"
+             "model.profile.heights = 1 0.5\n" + event,
+             "5,6", "custom knots must be positive and strictly increasing"),
+            (BOOLEAN_CFG.replace("value = 0.5", "value = -1") + event, "5", "constant radius must be positive, got -1.0"),
+            (CLASSICAL_INDICATOR_CFG.replace("plain", "product") + "model.tau = 0.5\n" + event,
+             "2,5", "weight kernels need 1 < tau"),
+            (BOOLEAN_CFG.replace("model.d = 2", "model.d = 9") + event, "3", "dimension must be an integer in 1..8, got 9"),
+            (CLASSICAL_INDICATOR_CFG.replace("classical", "generalized") + "model.damping.factor = 2\n" + event,
+             "5", "damping factor must lie in (0,1]"),
+            (BOOLEAN_CFG + event.replace("event.r = 1", "event.r = -1"), "8", "event scale r must be positive, got -1.0"),
+        ]
+        for text, where, message in cases:
+            cfg = write_config(tmp_path, text, name="bad.cfg")
+            assert cli.main(["estimate", cfg, "--out", str(tmp_path / "x.csv")]) == 2, message
+            assert f"bad.cfg:{where}: {message}" in capsys.readouterr().err, message
+
     def test_budget_exceeded_exits_3_with_hint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ppp, "DEFAULT_POINT_BUDGET", 500)
         cfg = write_config(tmp_path, BOOLEAN_CFG + (
@@ -455,6 +480,31 @@ def test_subcommands_reject_run_keys_they_do_not_read(tmp_path, capsys, subcomma
         assert f"extra.cfg:{line}: unknown or inapplicable key '{key}'" in err
     cfg = write_config(tmp_path, base + "run.threads = 2\n", name="threads.cfg")
     assert cli.main([subcommand, cfg, "--out", str(tmp_path / "x.out")]) == 0
+
+
+EVENT_CFG = BOOLEAN_CFG + "run.intensity = 1\nevent.r = 1\n"
+
+
+@pytest.mark.parametrize("subcommand, base, extra", [
+    pytest.param("validate-model", BOOLEAN_CFG, "model.kernel = plain", id="boolean-kernel"),
+    pytest.param("validate-model", BOOLEAN_CFG, "model.damping.radius = 1", id="boolean-damping"),
+    pytest.param("validate-model", CLASSICAL_INDICATOR_CFG, "model.radius.value = 1", id="classical-radius"),
+    pytest.param("validate-model", CLASSICAL_INDICATOR_CFG, "model.damping.factor = 0.5", id="classical-damping"),
+    pytest.param("validate-model", CLASSICAL_INDICATOR_CFG, "model.profile.delta = 2", id="indicator-delta"),
+    pytest.param("validate-model", CLASSICAL_INDICATOR_CFG.replace("indicator", "polynomial")
+                 + "model.profile.delta = 2.5\n", "model.profile.theta = 1", id="polynomial-theta"),
+    pytest.param("validate-model", BOOLEAN_CFG, "model.radius.shape = 2", id="constant-radius-shape"),
+    pytest.param("validate-model", BOOLEAN_CFG.replace("constant\nmodel.radius.value = 0.5", "pareto\n"
+                 "model.radius.shape = 1.5\nmodel.radius.scale = 0.25"), "model.radius.value = 1", id="pareto-radius-value"),
+    pytest.param("estimate", EVENT_CFG + "event.kind = crossing\n", "event.c = 1", id="crossing-c"),
+    pytest.param("estimate", EVENT_CFG + "event.kind = long_edge\nevent.c = 1\n", "event.center = 0 0",
+                 id="long-edge-center"),
+])
+def test_model_and_event_keys_not_read_exit_2_at_their_line(tmp_path, capsys, subcommand, base, extra):
+    cfg = write_config(tmp_path, base + extra + "\n", name="extra.cfg")
+    assert cli.main([subcommand, cfg, "--out", str(tmp_path / "x.out")]) == 2
+    key = extra.split(" = ")[0]
+    assert f"extra.cfg:{base.count(chr(10)) + 1}: unknown or inapplicable key '{key}'" in capsys.readouterr().err
 
 
 class TestDeterminism:
