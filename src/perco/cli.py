@@ -119,8 +119,8 @@ def cmd_estimate(cfg: ParsedConfig, out: str) -> list:
     if not 0 < confidence < 1:
         raise cfg.error("run.confidence", "run.confidence must be in (0, 1)")
     margin = cfg.get_float("run.margin", default=WINDOW_MARGIN)
-    if margin <= 0:
-        raise cfg.error("run.margin", "run.margin must be positive")
+    if not (np.isfinite(margin) and margin > 0):
+        raise cfg.error("run.margin", "run.margin must be finite and positive")
     event = _event_from_config(cfg, model.d)
     cfg.ensure_all_used()
     window = event.window(model.d, margin=margin)
@@ -378,8 +378,8 @@ def cmd_dump_graph(cfg: ParsedConfig, out: str) -> list:
     seed = read_seed(cfg)
     radius = cfg.get_float("dump.radius", required=True)
     cfg.ensure_all_used()
-    if radius <= 0:
-        raise cfg.error("dump.radius", "dump.radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise cfg.error("dump.radius", "dump.radius must be finite and positive")
     window = ball_window(radius, d=model.d)
     cloud = sample_ppp(intensity=intensity, window=window, seed=seed)
     graph = build_graph(cloud, model, seed=seed)

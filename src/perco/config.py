@@ -143,11 +143,6 @@ def parse_config_file(path: str) -> ParsedConfig:
     return parse_config_text(text, path=path)
 
 
-def serialize_config(cfg: ParsedConfig) -> str:
-    """Normalized form: sorted keys, single spaces around '='."""
-    return "".join(f"{key} = {cfg.values[key]}\n" for key in sorted(cfg.values))
-
-
 def _build_profile(cfg: ParsedConfig) -> Profile:
     kind = cfg.get_str("model.profile.kind", choices=PROFILE_KINDS, required=True)
     if kind == "indicator":

@@ -6,15 +6,16 @@ probability.  Because the variate depends on inherited point ids rather than
 array order, a thinned sub-cloud reproduces exactly the induced subgraph of
 its parent (see the coupling module).
 
-Two paths apply the same pair rule (``pairwise_prob`` against
-``pair_uniforms``), so they produce identical edge sets:
+Every path lists pairs and one routine, ``_coins``, draws their coins: the
+keyed uniform (``pair_uniforms``) and the base probability (``pairwise_prob``)
+of each pair.  The screens keep the pairs whose uniform is below their
+probability and return edges only, so every path gives the same edge set:
 
 * ``"exact"``: an O(n^2) sweep over all pairs in row tiles.  Rows i0:i1
-  meet columns i0:n; distances, marks and ids broadcast over the tile, so
-  nothing is gathered per pair, and entries at or below the diagonal are
-  dropped after the screen.  There is no distance prefilter: beyond a
-  finite connection range the probability is exactly 0 and every uniform
-  is positive.
+  meet columns i0:n as views that broadcast, so nothing is gathered per
+  pair, and entries at or below the diagonal are dropped after the screen.
+  There is no distance prefilter: beyond a finite connection range the
+  probability is exactly 0 and every uniform is positive.
 * ``"grid"``: a mark-layered kd-tree search, the layered sampling of
   geometric inhomogeneous random graphs (Bringmann, Keusch & Lengler, TCS
   760, 2019).  Points go into dyadic mark classes, one kd-tree each; every
@@ -22,8 +23,8 @@ Two paths apply the same pair rule (``pairwise_prob`` against
   classes' smallest marks (``models.pair_range``), which bounds every pair
   between them because connection probability does not increase with a
   mark.  A mark-independent range uses a single class.  The search only
-  enumerates candidates; the keyed uniforms decide each edge, so sampling
-  stays exact and thinning still gives induced subgraphs.
+  lists candidates; their coins decide each edge, so sampling stays exact
+  and thinning still gives induced subgraphs.
 
 ``build_graphs`` builds a block of clouds, each with its own seed, and
 ``build_graph`` is its one-cloud case.  Two or more clouds on the exact path
@@ -32,8 +33,9 @@ within-cloud pairs are listed by index arithmetic over the concatenated
 points, and each pair keeps its own cloud's seed and ids, so every edge is
 the one a tile would give.  Larger clouds keep their own sweep or search.
 
-A generalized model's damping factor is applied once per cloud, to the pairs
-that pass the base screen on any path (``_damped``).
+A generalized model's damping factor is applied once per cloud to the edges
+that pass the base screen on any path (``_damped``), which draws those edges'
+coins again: the coins are keyed, so they are the ones the screen compared.
 
 ``"auto"`` takes ``"grid"`` above 2000 points when every pair of marks has a
 finite range: boolean models (Pareto radii included) and indicator or custom
@@ -70,8 +72,6 @@ _MERGE_BLOCK = 256  # edges converted to Python ints at a time by _meeting_level
 # kd-tree ranges are widened by this relative margin so that rounding at a
 # tie never drops a pair; _screen_pairs decides every candidate exactly
 _RANGE_PAD = 1e-9
-# (i, j, u, p) of no pairs: the base screen's output when nothing passes
-_EMPTY_SCREEN = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
 
 
 @dataclass(frozen=True)
@@ -136,31 +136,39 @@ class GeomGraph:
         return np.sqrt(np.sum(diff * diff, axis=1))
 
 
-def _damped(model: ModelSpec, pos: np.ndarray, ii, jj, u, probs):
-    """Which base-kept pairs (u < probs) survive the generalized damping factor.
+def _coins(coords, marks, ids, model, seed, a, b):
+    """The keyed uniforms and base connection probabilities of the pairs (a, b), in their broadcast shape.
+
+    ``coords`` is (d, n); ``seed`` is one int or one per pair.  ``a`` and ``b``
+    are equal-shape index arrays of listed pairs, or a tile's row and column
+    slices ``np.s_[i0:i1, None]`` and ``np.s_[None, i0:]``, whose views broadcast.
+    """
+    dists = np.sqrt(_sum_squares([x[a] - x[b] for x in coords]))
+    return pair_uniforms(seed, ids[a], ids[b]), pairwise_prob(model, marks[a], marks[b], dists)
+
+
+def _damped(model: ModelSpec, cloud: PointCloud, seed: int, edges: np.ndarray) -> np.ndarray:
+    """The base-kept edges that survive the generalized damping factor, their coins drawn again.
 
     Damping only lowers probabilities, so the base screen is a superset.
     """
+    pos = cloud.positions
+    ii, jj = edges[:, 0], edges[:, 1]
+    u, probs = _coins(pos.T, cloud.marks, cloud.ids, model, seed, ii, jj)
     mids = 0.5 * (pos[ii] + pos[jj])
     hits = cKDTree(mids).sparse_distance_matrix(cKDTree(pos), model.damping_radius, output_type="ndarray")
     # the pair's own endpoints are dropped by index: recomputing the tree's
     # distance test can round the other way at ties
     own = (hits["j"] == ii[hits["i"]]) | (hits["j"] == jj[hits["i"]])
     ctx = np.bincount(hits["i"][~own], minlength=ii.size)
-    return u < probs * model.damping_factor**ctx
+    return edges[u < probs * model.damping_factor**ctx]
 
 
 def _screen_pairs(coords, marks, ids, model, seed, ii, jj):
-    """Candidate pairs that pass the base screen, with their uniforms and base probabilities.
-
-    ``coords`` is (d, n); ``seed`` is one int, or an array holding each
-    pair's own seed.
-    """
-    dists = np.sqrt(_sum_squares([x[ii] - x[jj] for x in coords]))
-    probs = np.asarray(pairwise_prob(model, marks[ii], marks[jj], dists))
-    u = pair_uniforms(seed, ids[ii], ids[jj])
+    """The listed pairs (ii, jj) that pass the base screen; arguments as for ``_coins``."""
+    u, probs = _coins(coords, marks, ids, model, seed, ii, jj)
     keep = u < probs
-    return ii[keep], jj[keep], u[keep], probs[keep]
+    return ii[keep], jj[keep]
 
 
 def _bounded(model: ModelSpec) -> bool:
@@ -184,11 +192,6 @@ def _sum_squares(diffs: list) -> np.ndarray:
     return total
 
 
-def _tile_squared_distances(coords: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Squared distances from points i0:i1 (rows) to points i0: (columns); ``coords`` is (d, n)."""
-    return _sum_squares([np.subtract.outer(x[i0:i1], x[i0:]) for x in coords])
-
-
 def _check_pair_budget(n: int) -> None:
     total = n * (n - 1) // 2
     if total > DEFAULT_PAIR_BUDGET:
@@ -201,37 +204,34 @@ def _check_pair_budget(n: int) -> None:
 def _sweep_tiles(cloud: PointCloud, model: ModelSpec, seed: int):
     """The exact sweep: pairs (i < j) that pass the base screen, one tile of _TILE_ROWS rows at a time.
 
-    Tile rows i0:i1 meet columns i0:n, so every pair i < j is in exactly one
-    tile.  Marks and ids enter per point and broadcast over the tile; the
-    entries at or below the diagonal are evaluated and then dropped.
+    Tile rows i0:i0+_TILE_ROWS meet columns i0:n as views that broadcast, so
+    every pair i < j is in exactly one tile and nothing is gathered per pair;
+    the entries at or below the diagonal are evaluated and then dropped.
     """
     n = len(cloud)
     _check_pair_budget(n)
     coords = np.ascontiguousarray(cloud.positions.T)
-    marks, ids = cloud.marks, cloud.ids
     for i0 in range(0, n - 1, _TILE_ROWS):
-        i1 = min(i0 + _TILE_ROWS, n)
-        dists = np.sqrt(_tile_squared_distances(coords, i0, i1))
-        probs = pairwise_prob(model, marks[i0:i1, None], marks[None, i0:], dists)
-        u = pair_uniforms(seed, ids[i0:i1, None], ids[None, i0:])
+        rows, cols = np.s_[i0 : i0 + _TILE_ROWS, None], np.s_[None, i0:]
+        u, probs = _coins(coords, cloud.marks, cloud.ids, model, seed, rows, cols)
         r, c = np.nonzero(u < probs)
         upper = c > r
-        r, c = r[upper], c[upper]
-        yield r + i0, c + i0, u[r, c], probs[r, c]
+        yield r[upper] + i0, c[upper] + i0
 
 
-def _layered_blocks(cloud: PointCloud, model: ModelSpec, cutoff: float):
+def _layered_blocks(cloud: PointCloud, model: ModelSpec):
     """Candidate pairs (i < j) from one kd-tree per dyadic mark class.
 
     Class k holds the marks in [2^-(k+1), 2^-k).  The connection range does
     not grow with the marks, so the range at the two classes' smallest marks
-    covers every pair between them.  A mark-independent (finite) ``cutoff``
-    puts every point in one class.
+    covers every pair between them.  A mark-independent (finite) range,
+    ``max_range``, puts every point in one class.
     """
     n = len(cloud)
     if n < 2:
         return
     pos = cloud.positions
+    cutoff = max_range(model)
     if math.isfinite(cutoff):
         klass = np.zeros(n, dtype=np.int64)
         ranges = np.array([[cutoff]])
@@ -282,7 +282,7 @@ def _screen_shared(clouds: list, model: ModelSpec, seeds: list) -> list:
     index arithmetic, row by row, so each cloud's kept pairs come out in
     lexicographic order.  Every pair keeps its own cloud's seed and ids, and
     ``_screen_pairs`` evaluates it exactly as a tile would.  Returns each
-    cloud's (edges, u, p), edges in its own indexing.
+    cloud's edges, in its own indexing.
     """
     sizes = np.array([len(cloud) for cloud in clouds], dtype=np.int64)
     for n in sizes.tolist():
@@ -299,14 +299,14 @@ def _screen_shared(clouds: list, model: ModelSpec, seeds: list) -> list:
     coords = np.ascontiguousarray(np.concatenate([cloud.positions for cloud in clouds]).T)
     marks = np.concatenate([cloud.marks for cloud in clouds])
     ids = np.concatenate([cloud.ids for cloud in clouds])
-    ii, jj, u, probs = _screen_pairs(coords, marks, ids, model, pair_seeds, ii, jj)
+    ii, jj = _screen_pairs(coords, marks, ids, model, pair_seeds, ii, jj)
     cut = np.searchsorted(ii, ends).tolist()  # kept pairs stay grouped by cloud
     edges = np.stack([ii, jj], axis=1) - starts[owner[ii]][:, None]
-    return [(edges[a:b], u[a:b], probs[a:b]) for a, b in zip([0, *cut[:-1]], cut)]
+    return [edges[a:b] for a, b in zip([0, *cut[:-1]], cut)]
 
 
-def _screen_alone(cloud: PointCloud, model: ModelSpec, seed: int, method: str):
-    """One cloud's base-screened (edges, u, p), the edges in lexicographic order.
+def _screen_alone(cloud: PointCloud, model: ModelSpec, seed: int, method: str) -> np.ndarray:
+    """One cloud's base-screened edges, in lexicographic order.
 
     The tile sweep yields its pairs in that order; the kd-tree candidates
     are screened and then sorted.
@@ -317,14 +317,13 @@ def _screen_alone(cloud: PointCloud, model: ModelSpec, seed: int, method: str):
         coords = np.ascontiguousarray(cloud.positions.T)
         screened = (
             _screen_pairs(coords, cloud.marks, cloud.ids, model, seed, ii, jj)
-            for ii, jj in _layered_blocks(cloud, model, max_range(model))
+            for ii, jj in _layered_blocks(cloud, model)
         )
-    ii, jj, u, probs = (np.concatenate(parts) for parts in zip(_EMPTY_SCREEN, *screened))
+    edges = np.concatenate([np.empty((0, 2), dtype=np.int64), *(np.stack(pair, axis=1) for pair in screened)])
     if method != "exact":
         # pairs are distinct with i < j < n, so i * n + j orders them lexicographically
-        order = np.argsort(ii * len(cloud) + jj)
-        ii, jj, u, probs = ii[order], jj[order], u[order], probs[order]
-    return np.stack([ii, jj], axis=1), u, probs
+        edges = edges[np.argsort(edges[:, 0] * len(cloud) + edges[:, 1])]
+    return edges
 
 
 def build_graphs(clouds, model: ModelSpec, seeds, method: str = "auto") -> list:
@@ -352,10 +351,9 @@ def build_graphs(clouds, model: ModelSpec, seeds, method: str = "auto") -> list:
         screens = dict(zip(shared, together))
     graphs = []
     for k, (cloud, seed, path) in enumerate(zip(clouds, seeds, paths)):
-        # a cloud screened on its own is screened here, so its uniforms go as soon as its graph is built
-        edges, u, probs = screens.pop(k) if k in screens else _screen_alone(cloud, model, seed, path)
+        edges = screens.pop(k) if k in screens else _screen_alone(cloud, model, seed, path)
         if model.variant == "generalized" and edges.size:
-            edges = edges[_damped(model, cloud.positions, edges[:, 0], edges[:, 1], u, probs)]
+            edges = _damped(model, cloud, seed, edges)
         graphs.append(GeomGraph(cloud=cloud, seed=seed, edges=edges))
     return graphs
 

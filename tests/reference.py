@@ -212,6 +212,11 @@ def renorm_long_edge_endpoint_first(graphs, r):
     return block._any(e[np.sum(diff * diff, axis=1) > r * r, 0])
 
 
+def serialize_config(cfg) -> str:
+    """A parsed config's normalized form: sorted keys, single spaces around '='."""
+    return "".join(f"{key} = {cfg.values[key]}\n" for key in sorted(cfg.values))
+
+
 def ball_of_volume(volume: float, d: int) -> Window:
     """The window B(0, R) whose volume is ``volume``, up to the rounding of R."""
     return ball_window((volume / unit_ball_volume(d)) ** (1.0 / d), d)

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from perco import cli, graph, ppp
-from perco.config import (
-    build_model,
-    parse_config_text,
-    serialize_config,
-)
+from perco.config import build_model, parse_config_text
 from perco.errors import ConfigurationError
+from reference import serialize_config
 from test_acceptance import DETERMINISM_CONFIGS
 
 
@@ -374,6 +371,14 @@ class TestCliErrors:
             cfg = write_config(tmp_path, "\n".join(kept) + f"\n{key} = {value}\n", name="bad.cfg")
             assert cli.main([subcommand, cfg, "--out", str(tmp_path / "x.csv")]) == 2, (key, value)
             assert f"bad.cfg:{len(kept) + 1}: {key} {message}" in capsys.readouterr().err, (key, value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("subcommand, key", [("estimate", "run.margin"), ("dump-graph", "dump.radius")])
+    def test_non_finite_window_size_exits_2_at_its_line(self, tmp_path, capsys, subcommand, key, value):
+        kept = [ln for ln in DETERMINISM_CONFIGS[subcommand].splitlines() if not ln.startswith(key + " ")]
+        cfg = write_config(tmp_path, "\n".join(kept) + f"\n{key} = {value}\n", name="bad.cfg")
+        assert cli.main([subcommand, cfg, "--out", str(tmp_path / "x.out")]) == 2
+        assert f"bad.cfg:{len(kept) + 1}: {key} must be" in capsys.readouterr().err
 
     def test_pair_budget_exceeded_exits_3_without_point_budget_hint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(graph, "DEFAULT_PAIR_BUDGET", 10)

@@ -478,7 +478,8 @@ def test_tile_squared_distances_bitwise_equal_row_sums(d):
     n, i0, i1 = 90, 7, 40
     # coordinates spread over many binades, so that the summation order shows in the last bits
     positions = gen.normal(size=(n, d)) * np.exp(gen.uniform(-8.0, 8.0, size=(n, d)))
-    tile = graph._tile_squared_distances(np.ascontiguousarray(positions.T), i0, i1)
+    # a tile's squared distances, formed as graph._coins forms them
+    tile = graph._sum_squares([x[np.s_[i0:i1, None]] - x[np.s_[None, i0:]] for x in np.ascontiguousarray(positions.T)])
     ii, jj = np.divmod(np.arange((i1 - i0) * (n - i0)), n - i0)
     diff = positions[ii + i0] - positions[jj + i0]
     want = np.sum(diff * diff, axis=1)

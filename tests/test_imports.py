@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and every
-parameter a function of the package takes is read in its body."""
+"""Source hygiene: every name a module imports is used in that module, every
+parameter a function of the package takes is read in its body, and every
+private function of the package has a caller in the package."""
 
 import ast
 import pathlib
@@ -61,3 +62,30 @@ def test_every_parameter_is_read():
     assert len(files) > 10
     got = {str(path.relative_to(ROOT)): unread_parameters(path) for path in files}
     assert {rel: hits for rel, hits in got.items() if hits} == UNREAD_PARAMETERS
+
+
+def private_functions_without_src_caller(files: list) -> list:
+    """'file:line: name' for each _-prefixed function or method that no code outside its own def names.
+
+    A name counts where a Name or Attribute node reads it; dunder methods are exempt.
+    """
+    defs, named = [], {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((path, node))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                named.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(node)
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for path, node in defs
+        if set(named.get(node.name, ())) <= set(ast.walk(node))
+    ]
+
+
+def test_every_private_function_has_a_src_caller():
+    # code that only a test calls belongs in the tests (tests/reference.py for an oracle)
+    files = sorted((ROOT / "src" / "perco").glob("*.py"))
+    assert len(files) > 10
+    assert private_functions_without_src_caller(files) == []
