@@ -283,30 +283,24 @@ def cmd_renorm_table(cfg: ParsedConfig, out: str) -> list:
     intensity = read_intensity(cfg)
     run = read_run_settings(cfg)
     scales = cfg.get_floats("renorm.scales", required=True)
-    c_mix = cfg.get_float("renorm.c_mix")
-    zeta = cfg.get_float("renorm.zeta")
     cfg.ensure_all_used()
-    table = renorm_table(
-        model, intensity, scales,
-        n=run.trials, seed=run.seed, c_mix=c_mix, zeta=zeta,
-    )
+    with cfg.at("renorm.scales"):
+        table = renorm_table(model, intensity, scales, n=run.trials, seed=run.seed)
     comments = [
         ("subcommand", "renorm-table"),
         ("stable", table.stable),
         ("inclusion_violations", table.inclusion_violations),
     ]
-    if c_mix is not None:
-        comments += [("c_mix", c_mix), ("zeta", zeta)]
     header = ["r"]
     for name in ("big_cross", "local_cross", "cross", "long_edge"):
         header += [f"{name}_p", f"{name}_lo", f"{name}_hi"]
-    header += ["mixing_term", "fitted_c", "flagged"]
+    header += ["fitted_c", "flagged"]
     rows = []
     for row in table.rows:
         cells = [row.r]
         for est in (row.lhs, row.g_est, row.c_est, row.f_est):
             cells += [est.p_hat, est.ci_low, est.ci_high]
-        cells += [row.mixing_term, row.fitted_C, row.flagged]
+        cells += [row.fitted_C, row.flagged]
         rows.append(cells)
     write_result(out, comments, header, rows)
     return table.lines()

@@ -565,16 +565,21 @@ def estimate_mixing_cov(
 ) -> MixingReport:
     """Covariance of the local crossing indicators at the origin and at x.
 
-    Both indicators are evaluated on the same graph per replicate.  The CI is
-    a normal approximation from the influence values, adequate for bounded
-    indicators at the enforced n >= 1000.
+    Both indicators are evaluated on the same graph per replicate.  A local
+    crossing at scale r reads the cloud within 3r + rho of its center, where
+    rho is a generalized model's damping radius and 0 otherwise, so the
+    centers must lie more than twice that apart.  The CI is a normal
+    approximation from the influence values, adequate for bounded indicators
+    at the enforced n >= 1000.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.d,):
         raise ConfigurationError(f"center must have {model.d} coordinates")
     sep = float(np.linalg.norm(x))
-    if not sep > 6.0 * r:
-        raise ConfigurationError("centers must be separated by more than 6r")
+    rho = model.damping_radius if model.variant == "generalized" else 0.0
+    if not sep > 6.0 * r + 2.0 * rho:
+        extra = f" + 2 * damping radius = {6.0 * r + 2.0 * rho:g}" if rho else ""
+        raise ConfigurationError(f"centers must be separated by more than 6r{extra}")
     if n < MIN_COV_TRIALS:
         raise ConfigurationError(f"covariance CI needs at least {MIN_COV_TRIALS} replicates")
     near_event = local_crossing_spec(r)

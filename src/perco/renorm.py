@@ -2,11 +2,13 @@
 
 The central inequality bounds the crossing probability at scale 10r by a
 constant times the square of the crossing probability at scale r, plus the
-probability of a long edge near the origin (the error event), plus, for
-context-dependent models, a user-supplied mixing term.  The constant is not
-pinned down analytically, so each row reports the fitted constant that makes
-the inequality tight at that scale; stability of that constant across scales
-is the diagnostic.
+probability of a long edge near the origin (the error event).  The constant
+is not pinned down analytically, so each row reports the fitted constant
+that makes the inequality tight at that scale; stability of that constant
+across scales is the diagnostic.  The same inequality serves every model
+variant: a generalized model's damping reads only points within
+damping_radius of an edge's midpoint, so its local crossing at scale r
+depends on a finite ball of the cloud, as for the other models.
 
 The bracket routine bisects the intensity against a crossing-probability
 threshold.  All intensities are realized by thinning the same master clouds,
@@ -44,20 +46,19 @@ class RenormRow:
     g_est: Estimate  # local crossing at scale r
     c_est: Estimate  # crossing at scale r
     f_est: Estimate  # long-edge error event at scale r
-    mixing_term: float
     fitted_C: float | None
     flagged: bool
 
 
-def fitted_constant(lhs_p: float, c_p: float, f_p: float, mixing: float = 0.0):
-    """Minimal constant making lhs <= C * (c^2 + mixing) + f, or None if undefined.
+def fitted_constant(lhs_p: float, c_p: float, f_p: float):
+    """Minimal constant making lhs <= C * c^2 + f, or None if undefined.
 
     When lhs <= f the inequality already holds with C = 0, including the
     degenerate c = 0 case; only lhs > f with a zero denominator is flagged.
     """
     if lhs_p <= f_p:
         return 0.0, False
-    denom = c_p * c_p + mixing
+    denom = c_p * c_p
     if denom == 0.0:
         return None, True
     return (lhs_p - f_p) / denom, False
@@ -77,38 +78,18 @@ class RenormTable:
             out.append(
                 f"r={row.r:.6g}  p(cross 10r)={row.lhs.p_hat:.6g}  p(local r)={row.g_est.p_hat:.6g}  "
                 f"p(cross r)={row.c_est.p_hat:.6g}  p(long-edge err)={row.f_est.p_hat:.6g}  "
-                f"mixing={row.mixing_term:.3g}  fitted_C={fitted}{flag}"
+                f"fitted_C={fitted}{flag}"
             )
         out.append(f"fitted constant stable within factor 2: {'yes' if self.stable else 'no'}")
         out.append(f"per-replicate inclusion violations (local => crossing): {self.inclusion_violations}")
         return out
 
 
-def renorm_table(
-    model: ModelSpec,
-    intensity: float,
-    r_values,
-    n: int,
-    seed: int,
-    c_mix: float | None = None,
-    zeta: float | None = None,
-) -> RenormTable:
-    """Estimate all four probabilities per scale on shared replicates.
-
-    Context-free models drop the mixing term; context-dependent ones must
-    supply (c_mix, zeta), contributing c_mix * intensity * r^-zeta to the
-    denominator of the fitted constant.
-    """
+def renorm_table(model: ModelSpec, intensity: float, r_values, n: int, seed: int) -> RenormTable:
+    """Estimate all four probabilities per scale on shared replicates, for every model variant."""
     r_values = [float(r) for r in r_values]
     if not r_values or any(r <= 0 for r in r_values):
         raise ConfigurationError("scales must be positive")
-    if model.variant == "generalized":
-        if c_mix is None or zeta is None:
-            raise ConfigurationError(
-                "context-dependent models need explicit mixing parameters (c_mix, zeta)"
-            )
-    elif c_mix is not None or zeta is not None:
-        raise ConfigurationError("mixing parameters only apply to context-dependent models")
 
     rows = []
     violations = 0
@@ -123,8 +104,7 @@ def renorm_table(
         outcomes = graph_rows(model, intensity, window, decide, n, replicate_seed(seed, j))
         violations += int(np.sum(outcomes[:, 1] & ~outcomes[:, 2]))
         lhs_est, g_est, c_est, f_est = fold(outcomes)
-        mixing = 0.0 if c_mix is None else c_mix * intensity * r ** -zeta
-        fitted, flagged = fitted_constant(lhs_est.p_hat, c_est.p_hat, f_est.p_hat, mixing)
+        fitted, flagged = fitted_constant(lhs_est.p_hat, c_est.p_hat, f_est.p_hat)
         rows.append(
             RenormRow(
                 r=r,
@@ -132,7 +112,6 @@ def renorm_table(
                 g_est=g_est,
                 c_est=c_est,
                 f_est=f_est,
-                mixing_term=mixing,
                 fitted_C=fitted,
                 flagged=flagged,
             )

@@ -464,7 +464,7 @@ BODY_DIGESTS = {
     "check-lemma1": "1dd781bb40d95d91",
     "check-lemma2": "20eac9a8e40ae81f",
     "mixing-cov": "1796d2f1bc17d1ef",
-    "renorm-table": "66462211cf8a1049",
+    "renorm-table": "fc81722d63aedf73",
     "bracket-lambda": "6d01997701afed81",
     "validate-model": "53df7615741907c3",
     "dump-graph": "1568fd84d28c4eff",

@@ -380,6 +380,13 @@ class TestCliErrors:
         assert cli.main([subcommand, cfg, "--out", str(tmp_path / "x.out")]) == 2
         assert f"bad.cfg:{len(kept) + 1}: {key} must be" in capsys.readouterr().err
 
+    def test_bad_renorm_scales_exit_2_at_their_line(self, tmp_path, capsys):
+        kept = [ln for ln in DETERMINISM_CONFIGS["renorm-table"].splitlines() if not ln.startswith("renorm.scales ")]
+        for value in ("0.5 -1", "nan"):
+            cfg = write_config(tmp_path, "\n".join(kept) + f"\nrenorm.scales = {value}\n", name="bad.cfg")
+            assert cli.main(["renorm-table", cfg, "--out", str(tmp_path / "x.csv")]) == 2, value
+            assert f"bad.cfg:{len(kept) + 1}: " in capsys.readouterr().err, value
+
     def test_pair_budget_exceeded_exits_3_without_point_budget_hint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(graph, "DEFAULT_PAIR_BUDGET", 10)
         cfg = write_config(tmp_path, (
@@ -488,6 +495,7 @@ def test_subcommands_reject_run_keys_they_do_not_read(tmp_path, capsys, subcomma
 
 
 EVENT_CFG = BOOLEAN_CFG + "run.intensity = 1\nevent.r = 1\n"
+RENORM_CFG = "run.intensity = 0.4\nrun.trials = 10\nrenorm.scales = 0.25\n"
 
 
 @pytest.mark.parametrize("subcommand, base, extra", [
@@ -504,6 +512,10 @@ EVENT_CFG = BOOLEAN_CFG + "run.intensity = 1\nevent.r = 1\n"
     pytest.param("estimate", EVENT_CFG + "event.kind = crossing\n", "event.c = 1", id="crossing-c"),
     pytest.param("estimate", EVENT_CFG + "event.kind = long_edge\nevent.c = 1\n", "event.center = 0 0",
                  id="long-edge-center"),
+    # a generalized model takes no mixing term, so neither mixing key exists
+    pytest.param("renorm-table", CLASSICAL_INDICATOR_CFG.replace("classical", "generalized") + RENORM_CFG,
+                 "renorm.c_mix = 1", id="generalized-renorm-c-mix"),
+    pytest.param("renorm-table", CLASSICAL_INDICATOR_CFG + RENORM_CFG, "renorm.zeta = 1", id="classical-renorm-zeta"),
 ])
 def test_model_and_event_keys_not_read_exit_2_at_their_line(tmp_path, capsys, subcommand, base, extra):
     cfg = write_config(tmp_path, base + extra + "\n", name="extra.cfg")

@@ -40,6 +40,7 @@ from perco.models import (
     boolean_model,
     catalog,
     classical_model,
+    demo_generalized,
     indicator_profile,
     mark_averaged_connection,
     polynomial_profile,
@@ -773,6 +774,15 @@ def test_mixing_preconditions():
         estimate_mixing_cov(model, 1.0, r=0.5, x=[4.0, 0.0], n=500, seed=0)
     with pytest.raises(ConfigurationError):
         estimate_mixing_cov(model, 1.0, r=0.5, x=[4.0], n=1000, seed=0)
+
+
+def test_mixing_generalized_needs_twice_the_dependence_range():
+    # a local crossing of a generalized model reads the cloud within 3r + damping radius of its center
+    model = demo_generalized(2)
+    with pytest.raises(ConfigurationError, match=r"more than 6r \+ 2 \* damping radius = 3\.8$"):
+        estimate_mixing_cov(model, 0.8, r=0.3, x=[2.0, 0.0], n=1000, seed=1)
+    rep = estimate_mixing_cov(model, 0.8, r=0.3, x=[3.9, 0.0], n=1000, seed=1)
+    assert rep.separation == 3.9
 
 
 def test_mixing_thread_determinism():

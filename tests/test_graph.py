@@ -226,6 +226,46 @@ def _head(cloud: PointCloud, k: int) -> PointCloud:
     return replace(cloud, positions=cloud.positions[:k], marks=cloud.marks[:k], ids=cloud.ids[:k])
 
 
+_RANGE_R, _RANGE_LAM, _RANGE_WINDOW = 0.5, 1.5, 4.3  # the window holds B(z, 3r + 1) with room beyond it
+
+
+def _edge_ids_within(cloud: PointCloud, model, seed: int, z, radius: float) -> set:
+    """The id pairs of the graph's edges with both ends in the closed ball B(z, radius)."""
+    edges = build_graph(cloud, model, seed=seed).edges
+    inside = np.linalg.norm(cloud.positions - z, axis=1) <= radius
+    edges = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]
+    return set(map(tuple, np.sort(cloud.ids[edges], axis=1).tolist()))
+
+
+def _edges_near_z_from_ball(d: int, model, seed: int, reach: float):
+    """Edges within B(z, 3r) of the whole cloud's graph, and of the graph of its points in B(z, reach)."""
+    z = np.zeros(d)
+    z[0] = 1.3
+    cloud = sample_ppp(ball_window(_RANGE_WINDOW, d), _RANGE_LAM, seed=seed)
+    keep = np.linalg.norm(cloud.positions - z, axis=1) <= reach
+    ball = replace(cloud, positions=cloud.positions[keep], marks=cloud.marks[keep], ids=cloud.ids[keep])
+    return tuple(_edge_ids_within(c, model, seed, z, 3 * _RANGE_R) for c in (cloud, ball))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_local_edges_depend_on_a_finite_ball(d, seed):
+    # the local crossing G_z(r) reads the edges within B(z, 3r); the damping of a
+    # generalized model counts points within rho of the edge's midpoint, so those
+    # edges are a function of the cloud in B(z, 3r + rho), with rho = 0 otherwise
+    for name, model in {**catalog(d), "demo-generalized": demo_generalized(d)}.items():
+        rho = model.damping_radius if model.variant == "generalized" else 0.0
+        whole, ball = _edges_near_z_from_ball(d, model, seed, 3 * _RANGE_R + rho)
+        assert whole == ball, name
+
+
+def test_generalized_local_edges_see_beyond_half_the_damping_radius():
+    # negative control: at 3r + rho/2 the damping of some edge misses a context point
+    model = demo_generalized(2)
+    whole, ball = _edges_near_z_from_ball(2, model, 15, 3 * _RANGE_R + model.damping_radius / 2)
+    assert whole < ball  # fewer context points damp less, so the ball's graph keeps a superset
+
+
 def _graph_from_edges(positions, edges) -> GeomGraph:
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     edges = np.asarray(sorted({(min(i, j), max(i, j)) for i, j in edges if i != j}), dtype=np.int64)

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, every
-parameter a function of the package takes is read in its body, and every
-private function of the package has a caller in the package."""
+parameter a function of the package takes is read in its body, every
+private function of the package has a caller in the package, and README
+lists every config key."""
 
 import ast
 import pathlib
@@ -89,3 +90,26 @@ def test_every_private_function_has_a_src_caller():
     files = sorted((ROOT / "src" / "perco").glob("*.py"))
     assert len(files) > 10
     assert private_functions_without_src_caller(files) == []
+
+
+def config_keys(path: pathlib.Path) -> dict:
+    """key -> 'file:line' for each ``cfg.get_*`` or ``cfg.has`` call whose first argument is a string literal."""
+    keys = {}
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args):
+            continue
+        func, key = node.func, node.args[0]
+        if (
+            isinstance(func.value, ast.Name) and func.value.id == "cfg"
+            and (func.attr.startswith("get_") or func.attr == "has")
+            and isinstance(key, ast.Constant) and isinstance(key.value, str)
+        ):
+            keys[key.value] = f"{path.relative_to(ROOT)}:{node.lineno}"
+    return keys
+
+
+def test_readme_lists_every_config_key():
+    keys = {k: where for name in ("cli.py", "config.py") for k, where in config_keys(ROOT / "src" / "perco" / name).items()}
+    assert len(keys) > 40
+    readme = (ROOT / "README.md").read_text()
+    assert [f"{where}: {key}" for key, where in sorted(keys.items()) if f"`{key}`" not in readme] == []

@@ -37,9 +37,6 @@ def test_fitted_constant_rules():
     # lhs > f with nothing in the denominator: undefined, flagged
     value, flagged = fitted_constant(0.2, 0.0, 0.1)
     assert value is None and flagged
-    # mixing term enters the denominator
-    value, flagged = fitted_constant(0.4, 0.0, 0.1, mixing=0.5)
-    assert value == pytest.approx(0.6) and not flagged
 
 
 def test_renorm_zero_intensity():
@@ -64,24 +61,19 @@ def test_renorm_subcritical_boolean():
     assert any("fitted constant" in line for line in table.lines())
 
 
-def test_renorm_mixing_parameter_validation():
+def test_renorm_scale_validation():
     classical = catalog(d=2)["plain-indicator"]
-    with pytest.raises(ConfigurationError):
-        renorm_table(classical, 1.0, [1.0], n=5, seed=0, c_mix=1.0, zeta=2.0)
-    generalized = demo_generalized(d=2)
-    with pytest.raises(ConfigurationError):
-        renorm_table(generalized, 1.0, [1.0], n=5, seed=0)
     with pytest.raises(ConfigurationError):
         renorm_table(classical, 1.0, [], n=5, seed=0)
     with pytest.raises(ConfigurationError):
         renorm_table(classical, 1.0, [-1.0], n=5, seed=0)
 
 
-def test_renorm_generalized_with_mixing():
+def test_renorm_generalized_needs_no_knobs():
     generalized = demo_generalized(d=2)
-    table = renorm_table(generalized, 1.0, r_values=[0.1], n=25, seed=3, c_mix=0.5, zeta=1.0)
+    table = renorm_table(generalized, 1.0, r_values=[0.1], n=25, seed=3)
+    assert table.inclusion_violations == 0
     row = table.rows[0]
-    assert row.mixing_term == pytest.approx(0.5 * 1.0 * 0.1**-1.0)
     assert row.fitted_C is None or row.fitted_C >= 0
 
 
