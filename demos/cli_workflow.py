@@ -1,9 +1,9 @@
 # End-to-end command-line workflow in a temp directory: write a config file,
 # estimate a crossing probability over a small intensity sweep, then reshape
 # the result table into plot-ready series. Demonstrates the on-disk formats
-# without touching the repository tree. The files are named relative to the
-# temp directory and shown without their timestamp line, so two runs print
-# the same bytes.
+# without touching the repository tree. Each subcommand prints the body it
+# wrote (the file minus its timestamp line) and the file's path, named
+# relative to the temp directory, so two runs print the same bytes.
 #
 # Run with `python3 demos/cli_workflow.py`.
 
@@ -29,14 +29,6 @@ run.seed = 5
 """
 
 
-def show(path, title):
-    print(f"--- {title} ---")
-    for line in pathlib.Path(path).read_text().splitlines(keepends=True):
-        if not line.startswith("# generated "):
-            print(line, end="")
-    print()
-
-
 if __name__ == "__main__":
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -48,9 +40,6 @@ if __name__ == "__main__":
             assert rc == 0
             rc = cli.main(["plot-data", "sweep.csv", "--out", "sweep-plot.csv"])
             assert rc == 0
-
-            show("sweep.csv", "estimate result")
-            show("sweep-plot.csv", "plot-data series")
             print("rerunning with the same seed reproduces the body byte for byte;")
             print("pass --seed to explore other draws")
         finally:

@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Every analysis subcommand takes a config file (flat key = value lines) plus
-optional --seed/--out overrides, prints a human summary to stdout,
-and writes a machine-readable result file.  Result files start with a
-"# generated <timestamp>" line, then deterministic "# key = value" metadata
-comments, then a CSV header and rows with floats at 9 significant digits.
-Everything after the timestamp line depends only on the config and seed, so
-reruns are byte-identical there.  run.threads is accepted and validated (at
-least 1), but does not change how or where replicates run.
+optional --seed/--out overrides and writes a machine-readable result file.
+Result files start with a "# generated <timestamp>" line, then deterministic
+"# key = value" metadata comments, then a CSV header and rows with floats at
+9 significant digits.  Everything after the timestamp line, the body,
+depends only on the config and seed, so reruns are byte-identical there.
+Stdout is that body, then "wrote <path>"; dump-graph, whose body is the
+whole graph, prints its point and edge counts in its place.  run.threads is
+accepted and validated (at least 1), but does not change how or where
+replicates run.
 
 Exit codes: 0 success, 2 configuration or contract errors (message on
 stderr, prefixed file:line: when a config line is at fault), 3 resource
@@ -77,15 +79,21 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_result(path: str, comments, header, rows) -> None:
-    """Timestamp line, metadata comments, CSV header, CSV rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# generated {datetime.now(timezone.utc).strftime('%Y-%m-%dT%H:%M:%SZ')}\n")
-        for key, value in comments:
-            fh.write(f"# {key} = {fmt(value)}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(cell) for cell in row) + "\n")
+def _open_result(path: str):
+    """The file at ``path``, opened for writing, with the timestamp line written."""
+    fh = open(path, "w", encoding="utf-8")
+    fh.write(f"# generated {datetime.now(timezone.utc).strftime('%Y-%m-%dT%H:%M:%SZ')}\n")
+    return fh
+
+
+def write_result(path: str, comments, header, rows) -> str:
+    """Write metadata comments, CSV header and CSV rows below the timestamp line; return that body."""
+    lines = [f"# {key} = {fmt(value)}" for key, value in comments] + [",".join(header)]
+    lines += [",".join(fmt(cell) for cell in row) for row in rows]
+    body = "".join(line + "\n" for line in lines)
+    with _open_result(path) as fh:
+        fh.write(body)
+    return body
 
 
 def _estimate_cells(est):
@@ -111,7 +119,7 @@ def _event_from_config(cfg: ParsedConfig, d: int) -> EventSpec:
         return crossing_spec(r) if kind == "crossing" else renorm_long_edge_spec(r)
 
 
-def cmd_estimate(cfg: ParsedConfig, out: str) -> list:
+def cmd_estimate(cfg: ParsedConfig, out: str) -> str:
     model = build_model(cfg)
     intensities = read_intensities(cfg)
     run = read_run_settings(cfg)
@@ -123,7 +131,7 @@ def cmd_estimate(cfg: ParsedConfig, out: str) -> list:
         raise cfg.error("run.margin", "run.margin must be finite and positive")
     event = _event_from_config(cfg, model.d)
     cfg.ensure_all_used()
-    window = event.window(model.d, margin=margin)
+    window = event.window(model.d, margin=margin, context=model.context_radius)
     ell = event.truncation_radius()
     unit_bias = truncation_bound(model, 1.0, window, ell)
     rows = []
@@ -146,11 +154,10 @@ def cmd_estimate(cfg: ParsedConfig, out: str) -> list:
         ("confidence", confidence),
     ]
     header = ["intensity", "event", "r", "c"] + ESTIMATE_COLS + ["truncation_bound"]
-    write_result(out, comments, header, rows)
-    return [f"estimated P({event.kind}) at {len(rows)} intensity value(s)"]
+    return write_result(out, comments, header, rows)
 
 
-def cmd_probe_h(cfg: ParsedConfig, out: str) -> list:
+def cmd_probe_h(cfg: ParsedConfig, out: str) -> str:
     model = build_model(cfg)
     intensity = read_intensity(cfg)
     run = read_run_settings(cfg)
@@ -193,11 +200,10 @@ def cmd_probe_h(cfg: ParsedConfig, out: str) -> list:
         [r] + _estimate_cells(est) + [mean]
         for r, est, mean in zip(report.r_values, report.estimates, report.campbell_means)
     ]
-    write_result(out, comments, header, rows)
-    return report.lines()
+    return write_result(out, comments, header, rows)
 
 
-def cmd_check_lemma1(cfg: ParsedConfig, out: str) -> list:
+def cmd_check_lemma1(cfg: ParsedConfig, out: str) -> str:
     model = build_model(cfg)
     intensity = read_intensity(cfg)
     run = read_run_settings(cfg)
@@ -222,11 +228,10 @@ def cmd_check_lemma1(cfg: ParsedConfig, out: str) -> list:
         ["small", r, c_prime * r] + _estimate_cells(check.lhs),
         ["large", check.covering.q * r, c_prime * r] + _estimate_cells(check.rhs),
     ]
-    write_result(out, comments, header, rows)
-    return check.lines()
+    return write_result(out, comments, header, rows)
 
 
-def cmd_check_lemma2(cfg: ParsedConfig, out: str) -> list:
+def cmd_check_lemma2(cfg: ParsedConfig, out: str) -> str:
     model = build_model(cfg)
     run = read_run_settings(cfg)
     lam_low = cfg.get_float("lemma2.lam_low", required=True)
@@ -247,11 +252,10 @@ def cmd_check_lemma2(cfg: ParsedConfig, out: str) -> list:
         ["low", lam_low] + _estimate_cells(report.low),
         ["high", lam_high] + _estimate_cells(report.high),
     ]
-    write_result(out, comments, header, rows)
-    return report.lines()
+    return write_result(out, comments, header, rows)
 
 
-def cmd_mixing_cov(cfg: ParsedConfig, out: str) -> list:
+def cmd_mixing_cov(cfg: ParsedConfig, out: str) -> str:
     model = build_model(cfg)
     intensity = read_intensity(cfg)
     run = read_run_settings(cfg)
@@ -274,11 +278,10 @@ def cmd_mixing_cov(cfg: ParsedConfig, out: str) -> list:
         report.covariance, report.ci_low, report.ci_high,
         report.near.p_hat, report.far.p_hat,
     ]]
-    write_result(out, comments, header, rows)
-    return report.lines()
+    return write_result(out, comments, header, rows)
 
 
-def cmd_renorm_table(cfg: ParsedConfig, out: str) -> list:
+def cmd_renorm_table(cfg: ParsedConfig, out: str) -> str:
     model = build_model(cfg)
     intensity = read_intensity(cfg)
     run = read_run_settings(cfg)
@@ -302,11 +305,10 @@ def cmd_renorm_table(cfg: ParsedConfig, out: str) -> list:
             cells += [est.p_hat, est.ci_low, est.ci_high]
         cells += [row.fitted_C, row.flagged]
         rows.append(cells)
-    write_result(out, comments, header, rows)
-    return table.lines()
+    return write_result(out, comments, header, rows)
 
 
-def cmd_bracket_lambda(cfg: ParsedConfig, out: str) -> list:
+def cmd_bracket_lambda(cfg: ParsedConfig, out: str) -> str:
     model = build_model(cfg)
     run = read_run_settings(cfg)
     lam_min = cfg.get_float("bracket.lam_min", required=True)
@@ -335,11 +337,10 @@ def cmd_bracket_lambda(cfg: ParsedConfig, out: str) -> list:
         [step, lam] + _estimate_cells(est)
         for step, (lam, est) in enumerate(result.evaluations)
     ]
-    write_result(out, comments, header, rows)
-    return result.lines()
+    return write_result(out, comments, header, rows)
 
 
-def cmd_validate_model(cfg: ParsedConfig, out: str) -> list:
+def cmd_validate_model(cfg: ParsedConfig, out: str) -> str:
     model = build_model(cfg)
     n_samples = cfg.get_int("validate.samples", default=10_000)
     if n_samples < 1:
@@ -362,11 +363,10 @@ def cmd_validate_model(cfg: ParsedConfig, out: str) -> list:
         report.integral_value, report.integral_verdict,
         report.tail_exponent, report.n_samples,
     ]]
-    write_result(out, comments, header, rows)
-    return report.lines()
+    return write_result(out, comments, header, rows)
 
 
-def cmd_dump_graph(cfg: ParsedConfig, out: str) -> list:
+def cmd_dump_graph(cfg: ParsedConfig, out: str) -> str:
     model = build_model(cfg)
     intensity = read_intensity(cfg)
     seed = read_seed(cfg)
@@ -377,10 +377,9 @@ def cmd_dump_graph(cfg: ParsedConfig, out: str) -> list:
     window = ball_window(radius, d=model.d)
     cloud = sample_ppp(intensity=intensity, window=window, seed=seed)
     graph = build_graph(cloud, model, seed=seed)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(f"# generated {datetime.now(timezone.utc).strftime('%Y-%m-%dT%H:%M:%SZ')}\n")
+    with _open_result(out) as fh:
         dump_graph(graph, fh)
-    return [f"dumped {graph.n_vertices} points and {graph.n_edges} edges"]
+    return f"dumped {graph.n_vertices} points and {graph.n_edges} edges\n"
 
 
 COMMANDS = {
@@ -432,7 +431,7 @@ def _read_result(path: str):
     return subcommand, header, rows
 
 
-def emit_plot_data(result_path: str, out: str) -> list:
+def emit_plot_data(result_path: str, out: str) -> str:
     """Reshape a result CSV into tidy (series, x, y, y_lo, y_hi) rows.
 
     The series follow from the file's ``# subcommand = ...`` line.
@@ -458,9 +457,8 @@ def emit_plot_data(result_path: str, out: str) -> list:
         for label, label_col, x_col, y_cols in series
     ]
     series_rows.sort(key=lambda t: (t[0], t[1]))
-    write_result(out, [("subcommand", "plot-data"), ("source_columns", " ".join(header))],
-                 ["series", "x", "y", "y_lo", "y_hi"], series_rows)
-    return [f"wrote {len(series_rows)} plot row(s) across {len({t[0] for t in series_rows})} series"]
+    return write_result(out, [("subcommand", "plot-data"), ("source_columns", " ".join(header))],
+                        ["series", "x", "y", "y_lo", "y_hi"], series_rows)
 
 
 def _default_out(subcommand: str) -> str:
@@ -468,10 +466,10 @@ def _default_out(subcommand: str) -> str:
 
 
 def run(subcommand: str, config_path: str, seed=None, out=None) -> int:
-    """Programmatic entry point; raises on errors instead of exiting."""
+    """Programmatic entry point: prints the result body (dump-graph: its counts), then ``wrote <path>``; raises on errors."""
     if subcommand == "plot-data":
         target = out if out is not None else _default_out("plot-data")
-        summary = emit_plot_data(config_path, target)
+        printed = emit_plot_data(config_path, target)
     else:
         cfg = parse_config_file(config_path)
         if seed is not None:
@@ -480,9 +478,8 @@ def run(subcommand: str, config_path: str, seed=None, out=None) -> int:
         if out is None:
             out = cfg_out
         target = out if out is not None else _default_out(subcommand)
-        summary = COMMANDS[subcommand](cfg, target)
-    for line in summary:
-        print(line)
+        printed = COMMANDS[subcommand](cfg, target)
+    print(printed, end="")
     print(f"wrote {target}")
     return 0
 

@@ -103,9 +103,6 @@ def induced_edges(high_graph: GeomGraph, retained: np.ndarray) -> np.ndarray:
 class ThinningReport:
     """Two-sided intensity-monotonicity check on the long-edge event L(r, 1)."""
 
-    lam_low: float
-    lam_high: float
-    r: float
     low: Estimate
     high: Estimate
     exact_upper_violations: int
@@ -115,19 +112,6 @@ class ThinningReport:
     @property
     def violated(self) -> bool:
         return self.lower_violated or self.upper_violated or self.exact_upper_violations > 0
-
-    def lines(self):
-        ratio_sq = (self.lam_low / self.lam_high) ** 2 if self.lam_high > 0 else 0.0
-        return [
-            f"intensities: {self.lam_low:g} <= {self.lam_high:g}, event scale r={self.r:g}",
-            f"low  p={self.low.p_hat:.6g} ci=[{self.low.ci_low:.6g}, {self.low.ci_high:.6g}]",
-            f"high p={self.high.p_hat:.6g} ci=[{self.high.ci_low:.6g}, {self.high.ci_high:.6g}]",
-            f"lower bound ratio^2*p_high = {ratio_sq * self.high.p_hat:.6g}: "
-            + ("VIOLATED" if self.lower_violated else "not violated"),
-            f"upper bound, exact per-replicate violations: {self.exact_upper_violations}"
-            + ("" if self.exact_upper_violations == 0 else " (VIOLATED)"),
-            "upper bound, statistical: " + ("VIOLATED" if self.upper_violated else "not violated"),
-        ]
 
 
 def check_thinning_bounds(
@@ -166,9 +150,6 @@ def check_thinning_bounds(
     lower_violated = ratio_sq * high_est.ci_low > low_est.ci_high
     upper_violated = low_est.ci_low > high_est.ci_high
     return ThinningReport(
-        lam_low=lam_low,
-        lam_high=lam_high,
-        r=r,
         low=low_est,
         high=high_est,
         exact_upper_violations=exact_violations,

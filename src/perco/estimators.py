@@ -167,7 +167,7 @@ def estimate_event(
 ) -> Estimate:
     """Estimate the event probability over n independent replicates."""
     if window is None:
-        window = event.window(model.d)
+        window = event.window(model.d, context=model.context_radius)
     rows = graph_rows(model, intensity, window, lambda _, graphs: event.evaluate_many(graphs), n, seed)
     return fold(rows, confidence)[0]
 
@@ -178,7 +178,7 @@ class TrendReport:
 
     The verdict is a finite-scale proxy for the limiting statement "the
     probabilities do not vanish as r grows"; no finite run decides the limit,
-    so the thresholds are explicit and repeated in the printed report.
+    so the thresholds are explicit and repeated in the result file.
     """
 
     r_values: tuple
@@ -191,26 +191,6 @@ class TrendReport:
     campbell_means: tuple
     undersampled: bool
     note: str = "finite-scale proxy; the limiting property is not decidable from any finite run"
-
-    def lines(self):
-        out = [
-            f"trend verdict: {self.verdict} "
-            f"(floor={self.persistent_floor:g}, decrease factor={self.vanishing_factor:g})",
-            f"note: {self.note}",
-        ]
-        if self.undersampled:
-            out.append("caveat: all-zero hit counts with expected counts far below 1/n; undersampled")
-        slope_txt = "n/a" if math.isnan(self.slope) else f"{self.slope:.4g}"
-        lo, hi = self.slope_ci
-        ci_txt = "n/a" if math.isnan(lo) else f"[{lo:.4g}, {hi:.4g}]"
-        out.append(f"log-log slope: {slope_txt}  ci: {ci_txt}")
-        for r, est, camp in zip(self.r_values, self.estimates, self.campbell_means):
-            camp_txt = "n/a" if camp is None or math.isnan(camp) else f"{camp:.6g}"
-            out.append(
-                f"r={r:.6g}  hits={est.hits}/{est.trials}  p={est.p_hat:.6g} "
-                f"ci=[{est.ci_low:.6g}, {est.ci_high:.6g}]  expected_count={camp_txt}"
-            )
-        return out
 
 
 def geometric_grid(r_min: float, r_max: float | None, k: int):
@@ -472,16 +452,6 @@ class CoveringCheck:
     union_bound_violations: int
     statistically_violated: bool
 
-    def lines(self):
-        n = self.covering.count
-        return [
-            f"covering count n({self.covering.q:g}) = {n} (d={self.covering.d})",
-            f"small-ball event: p={self.lhs.p_hat:.6g} ci=[{self.lhs.ci_low:.6g}, {self.lhs.ci_high:.6g}]",
-            f"large-ball event: p={self.rhs.p_hat:.6g} ci=[{self.rhs.ci_low:.6g}, {self.rhs.ci_high:.6g}]",
-            f"per-replicate union-bound violations: {self.union_bound_violations}",
-            "statistical check: " + ("VIOLATED" if self.statistically_violated else "not violated"),
-        ]
-
 
 def check_covering_inequality(
     model: ModelSpec,
@@ -546,13 +516,6 @@ class MixingReport:
     r: float
     separation: float
 
-    def lines(self):
-        return [
-            f"cov = {self.covariance:.6g}  ci=[{self.ci_low:.6g}, {self.ci_high:.6g}]  n={self.trials}",
-            f"origin-crossing p = {self.near.p_hat:.6g}, shifted-crossing p = {self.far.p_hat:.6g}",
-            f"r = {self.r:g}, center separation = {self.separation:g}",
-        ]
-
 
 def estimate_mixing_cov(
     model: ModelSpec,
@@ -567,16 +530,16 @@ def estimate_mixing_cov(
 
     Both indicators are evaluated on the same graph per replicate.  A local
     crossing at scale r reads the cloud within 3r + rho of its center, where
-    rho is a generalized model's damping radius and 0 otherwise, so the
-    centers must lie more than twice that apart.  The CI is a normal
-    approximation from the influence values, adequate for bounded indicators
-    at the enforced n >= 1000.
+    rho is the model's ``context_radius``, so the centers must lie more than
+    twice that apart, and the window holds that ball around x.  The CI is a
+    normal approximation from the influence values, adequate for bounded
+    indicators at the enforced n >= 1000.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.d,):
         raise ConfigurationError(f"center must have {model.d} coordinates")
     sep = float(np.linalg.norm(x))
-    rho = model.damping_radius if model.variant == "generalized" else 0.0
+    rho = model.context_radius
     if not sep > 6.0 * r + 2.0 * rho:
         extra = f" + 2 * damping radius = {6.0 * r + 2.0 * rho:g}" if rho else ""
         raise ConfigurationError(f"centers must be separated by more than 6r{extra}")
@@ -584,7 +547,7 @@ def estimate_mixing_cov(
         raise ConfigurationError(f"covariance CI needs at least {MIN_COV_TRIALS} replicates")
     near_event = local_crossing_spec(r)
     far_event = local_crossing_spec(r, center=x)
-    window = far_event.window(model.d)
+    window = far_event.window(model.d, context=rho)
 
     def decide(_, graphs):
         return np.stack([near_event.evaluate_many(graphs), far_event.evaluate_many(graphs)], axis=1)

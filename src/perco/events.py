@@ -5,8 +5,8 @@ Events at scale r:
 * long edge: some edge with an endpoint at |x| < r and length > c*r.
 * crossing: the ball B(0,r) connects to the complement of B(0,2r).
 * local crossing: the same crossing around a center x, using only vertices
-  inside B(x,3r) (no dependence on anything farther away, hence no
-  truncation bias).
+  inside B(x,3r); its edges read the cloud within the model's context
+  radius of B(x,3r), which its window holds, hence no truncation bias.
 * renorm long edge: an edge with an endpoint in B(0,20r) and length > r;
   the long edge with reach 20 and length ratio 1, which is the long-edge
   event at (20r, 1/20).
@@ -79,20 +79,24 @@ class EventSpec:
             center.flags.writeable = False
             object.__setattr__(self, "center", center)
 
-    def window(self, d: int, margin: float = WINDOW_MARGIN) -> Window:
-        """Simulation window implied by the policy for this event."""
+    def window(self, d: int, margin: float = WINDOW_MARGIN, context: float = 0.0) -> Window:
+        """Simulation window implied by the policy for this event.
+
+        A local crossing's window grows by ``context``, the model's ``context_radius``, to hold every point its edges read.
+        """
         if self.kind in _LONG_EDGE_KINDS:
             return long_edge_window(*self._long_edge(), self.r, d, margin)
         if self.kind == CROSSING:
             return ball_window((2.0 + margin) * self.r, d=d)
         shift = float(np.linalg.norm(self._center(d)))
-        return ball_window(shift + (3.0 + margin) * self.r, d=d)
+        return ball_window(shift + (3.0 + margin) * self.r + context, d=d)
 
     def truncation_radius(self) -> float:
         """Radius of the ball whose edges to the window exterior can bias the event.
 
         Zero means the event is decided entirely inside its policy window
-        (the local crossing reads only B(x,3r), which the window contains).
+        (the local crossing reads only B(x,3r) and, given the model's
+        context radius, the window holds every point those edges read).
         """
         if self.kind in _LONG_EDGE_KINDS:
             return self._long_edge()[0] * self.r

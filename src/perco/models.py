@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .ppp import sphere_surface
-from .quadrature import DIVERGENT, FINITE, _log_rule, _unit_rule, radial_integral
+from .quadrature import _log_rule, _unit_rule, radial_integral
 from .rng import substream
 
 
@@ -283,6 +283,11 @@ class ModelSpec:
             raise ConfigurationError(f"unknown model variant {self.variant!r}")
 
     @property
+    def context_radius(self) -> float:
+        """How far from an edge's midpoint its probability reads the cloud: the damping radius, 0 unless generalized."""
+        return self.damping_radius if self.variant == "generalized" else 0.0
+
+    @property
     def summary(self) -> str:
         if self.variant == "boolean":
             law = self.radius_law
@@ -449,9 +454,23 @@ def _classical_phibar(model: ModelSpec, s: np.ndarray) -> np.ndarray:
     return pieces.sum(axis=-1) + prof.heights[-1] * _kernel_survival(model, s / prof.knots[-1])
 
 
+def _far_classical_phibar(model: ModelSpec, rho: np.ndarray) -> np.ndarray:
+    """phibar where rho^d / beta may leave the float range: (rho / beta^(1/d))^d there, and 0 past it."""
+    with np.errstate(over="ignore"):
+        s = rho**model.d / model.beta
+        big = np.isinf(s)
+        s[big] = (rho[big] / model.beta ** (1.0 / model.d)) ** model.d
+    out = np.zeros(s.shape)  # an infinite profile argument connects no pair
+    finite = s < math.inf
+    out[finite] = _classical_phibar(model, s[finite])
+    return out
+
+
 def _phibar(model: ModelSpec, rho: np.ndarray) -> np.ndarray:
     if model.variant == "classical":
-        return _classical_phibar(model, rho**model.d / model.beta)
+        if rho.max() < (1e308 * min(model.beta, 1.0)) ** (1.0 / model.d):  # rho^d and rho^d / beta stay finite
+            return _classical_phibar(model, rho**model.d / model.beta)
+        return _far_classical_phibar(model, rho)
     law = model.radius_law
     if law.kind == "constant":
         return np.where(rho < 2.0 * law.radius, 1.0, 0.0)
@@ -505,28 +524,6 @@ class FrameworkReport:
     def ok(self) -> bool:
         return self.symmetric and self.monotone and self.in_range and self.integral_verdict != "inconclusive"
 
-    def lines(self) -> list[str]:
-        out = [
-            f"model: {self.model_summary}",
-            f"symmetry over {self.n_samples} random mark/distance triples: "
-            + ("pass" if self.symmetric else "FAIL"),
-            f"distance monotonicity over {self.n_samples} random rays: "
-            + ("pass" if self.monotone else "FAIL"),
-            "probabilities within [0,1]: " + ("pass" if self.in_range else "FAIL"),
-        ]
-        if self.integral_verdict == "skipped":
-            out.append("integrability: skipped")
-        elif self.integral_verdict == DIVERGENT:
-            out.append(
-                "integrability: DIVERGENT"
-                + (f" (tail exponent {self.tail_exponent:.4g})" if self.tail_exponent is not None else "")
-            )
-        elif self.integral_verdict == FINITE:
-            out.append(f"integrability: finite, integral = {self.integral_value:.9g}")
-        else:
-            out.append(f"integrability: inconclusive ({self.note})")
-        return out
-
 
 def validate_framework(model: ModelSpec, n_samples: int = 10_000, seed: int = 0) -> FrameworkReport:
     """Check symmetry, distance monotonicity, range, and integrability of the model's ``pairwise_prob``.
@@ -545,11 +542,12 @@ def validate_framework(model: ModelSpec, n_samples: int = 10_000, seed: int = 0)
     s = gen.uniform(size=n_samples).clip(1e-12, 1 - 1e-12)
     t = gen.uniform(size=n_samples).clip(1e-12, 1 - 1e-12)
     r = scale * np.exp(gen.uniform(math.log(1e-3), math.log(1e3), size=n_samples))
-    p_ab = np.asarray(pairwise_prob(model, s, t, r), dtype=float)
-    p_ba = np.asarray(pairwise_prob(model, t, s, r), dtype=float)
-    symmetric = bool(np.array_equal(p_ab, p_ba))
     r2 = r * np.exp(gen.uniform(math.log(1.0), math.log(10.0), size=n_samples))
-    p_far = np.asarray(pairwise_prob(model, s, t, r2), dtype=float)
+    with np.errstate(over="ignore"):  # a distance whose d-th power is past the float range connects with 0
+        p_ab, p_ba, p_far = [
+            np.asarray(pairwise_prob(model, a, b, dist), dtype=float) for a, b, dist in ((s, t, r), (t, s, r), (s, t, r2))
+        ]
+    symmetric = bool(np.array_equal(p_ab, p_ba))
     monotone = bool(np.all(p_ab >= p_far))
     in_range = bool(np.all((p_ab >= 0) & (p_ab <= 1)) and np.all((p_far >= 0) & (p_far <= 1)))
     checks = dict(symmetric=symmetric, monotone=monotone, in_range=in_range, n_samples=n_samples)

@@ -117,15 +117,15 @@ def radial_integral(
     exponent >= -1 gives a divergent verdict, a poor fit gives inconclusive
     (the finite part is still reported).
     """
-    if lower < 0:
+    if not lower >= 0:
         raise ConfigurationError(f"lower limit must be >= 0, got {lower}")
+    if support <= lower:  # an empty range, lower = inf among them
+        return RadialIntegral(value=0.0, verdict=FINITE)
 
     def h(rho):
         return rho ** (d - 1) * fn(rho)
 
     if math.isfinite(support):
-        if support <= lower:
-            return RadialIntegral(value=0.0, verdict=FINITE)
         value = _segment_sum(h, _segments(lower, support, breakpoints))
         return RadialIntegral(value=value, verdict=FINITE)
 

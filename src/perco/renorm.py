@@ -70,20 +70,6 @@ class RenormTable:
     stable: bool
     inclusion_violations: int
 
-    def lines(self):
-        out = []
-        for row in self.rows:
-            fitted = "undefined" if row.fitted_C is None else f"{row.fitted_C:.6g}"
-            flag = "  [flagged: lhs > f with zero crossing estimate]" if row.flagged else ""
-            out.append(
-                f"r={row.r:.6g}  p(cross 10r)={row.lhs.p_hat:.6g}  p(local r)={row.g_est.p_hat:.6g}  "
-                f"p(cross r)={row.c_est.p_hat:.6g}  p(long-edge err)={row.f_est.p_hat:.6g}  "
-                f"fitted_C={fitted}{flag}"
-            )
-        out.append(f"fitted constant stable within factor 2: {'yes' if self.stable else 'no'}")
-        out.append(f"per-replicate inclusion violations (local => crossing): {self.inclusion_violations}")
-        return out
-
 
 def renorm_table(model: ModelSpec, intensity: float, r_values, n: int, seed: int) -> RenormTable:
     """Estimate all four probabilities per scale on shared replicates, for every model variant."""
@@ -94,9 +80,11 @@ def renorm_table(model: ModelSpec, intensity: float, r_values, n: int, seed: int
     rows = []
     violations = 0
     for j, r in enumerate(r_values):
-        f_event = renorm_long_edge_spec(r)
-        window = f_event.window(model.d)  # also covers C(10r), G(r) and C(r)
-        specs = (crossing_spec(10.0 * r), local_crossing_spec(r), crossing_spec(r), f_event)
+        f_event, g_event = renorm_long_edge_spec(r), local_crossing_spec(r)
+        # the long-edge window covers C(10r) and C(r); G(r) reads B(0, 3r + context radius)
+        window = max(f_event.window(model.d), g_event.window(model.d, context=model.context_radius),
+                     key=lambda w: w.radius)
+        specs = (crossing_spec(10.0 * r), g_event, crossing_spec(r), f_event)
 
         def decide(_, graphs):
             return np.stack([spec.evaluate_many(graphs) for spec in specs], axis=1)
@@ -142,22 +130,6 @@ class BracketResult:
     crosses_below_lo: bool
     evaluations: tuple  # (intensity, Estimate), in evaluation order
     note: str
-
-    def lines(self):
-        out = [
-            f"bracket: [{self.lam_lo:.6g}, {self.lam_hi:.6g}]  ({self.note})",
-            f"threshold p = {self.threshold:g} on the annulus-crossing event at r = {self.r_probe:.6g}",
-        ]
-        if self.never_crosses:
-            out.append("flag: crossing probability never reaches the threshold on the search range")
-        if self.crosses_below_lo:
-            out.append("flag: crossing probability already exceeds the threshold at the lower search bound")
-        for lam, est in self.evaluations:
-            out.append(
-                f"  intensity={lam:.6g}  hits={est.hits}/{est.trials}  "
-                f"p={est.p_hat:.6g} ci=[{est.ci_low:.6g}, {est.ci_high:.6g}]"
-            )
-        return out
 
 
 def default_probe_scale(model: ModelSpec, lam_max: float) -> float:

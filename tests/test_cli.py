@@ -289,6 +289,19 @@ class TestSubcommands:
         assert float(row["separation"]) == pytest.approx(2.2)
         assert float(row["ci_low"]) <= float(row["covariance"]) <= float(row["ci_high"])
 
+    def test_estimate_local_crossing_window_holds_the_context_around_its_center(self, tmp_path, capsys):
+        base = CLASSICAL_INDICATOR_CFG.replace("classical", "generalized") + (
+            "model.damping.radius = 0.5\nrun.intensity = 0.5\nrun.trials = 5\n"
+            "event.kind = local_crossing\nevent.r = 0.5\n"
+        )
+        out = str(tmp_path / "local.csv")
+        assert cli.main(["estimate", write_config(tmp_path, base + "event.center = 3 4\n"), "--out", out]) == 0
+        # |center| + 3.05 r + the damping radius, which the edges of B(center, 3r) read
+        assert "# window_radius = 7.025\n" in read_body(out)
+        cfg = write_config(tmp_path, base + "event.center = 3 4 0\n", name="bad.cfg")
+        assert cli.main(["estimate", cfg, "--out", out]) == 2
+        assert f"bad.cfg:{base.count(chr(10)) + 1}: event.center needs 2 coordinates" in capsys.readouterr().err
+
     def test_dump_graph_writes_points_and_edges(self, tmp_path):
         cfg = write_config(tmp_path, BOOLEAN_CFG + (
             "run.intensity = 1.5\nrun.seed = 6\ndump.radius = 3\n"
@@ -298,6 +311,18 @@ class TestSubcommands:
         text = open(out).read()
         assert text.startswith("# generated ")
         assert "# points " in text and "# edges " in text
+
+
+@pytest.mark.parametrize("subcommand", sorted(DETERMINISM_CONFIGS))
+def test_stdout_is_the_result_body_then_the_path(tmp_path, capsys, subcommand):
+    out = str(tmp_path / "result.out")
+    assert cli.main([subcommand, write_config(tmp_path, DETERMINISM_CONFIGS[subcommand]), "--out", out]) == 0
+    printed, body = capsys.readouterr().out, read_body(out)
+    if subcommand == "dump-graph":  # its body is the whole graph, so it prints the counts instead
+        points, edges = (int(ln.split()[2]) for ln in body.splitlines() if ln.startswith(("# points ", "# edges ")))
+        assert printed == f"dumped {points} points and {edges} edges\nwrote {out}\n"
+    else:
+        assert printed == body + f"wrote {out}\n"
 
 
 class TestCliErrors:

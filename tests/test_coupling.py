@@ -129,7 +129,7 @@ def test_check_thinning_bounds_report():
     assert not report.violated
     assert report.low.p_hat <= report.high.p_hat  # observed monotone
     assert report.high.hits > 0
-    assert any("not violated" in line for line in report.lines())
+    assert not report.lower_violated and not report.upper_violated
 
 
 def test_check_thinning_bounds_validation():

@@ -1,6 +1,7 @@
 """Event semantics: constructed instances, coverage guards, exact inclusions."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from perco.events import (
     renorm_long_edge_spec,
 )
 from perco.graph import GeomGraph, ball_region, build_graph, complement_region
-from perco.models import RadiusLaw, boolean_model, catalog
+from perco.models import RadiusLaw, boolean_model, catalog, demo_generalized
 from perco.ppp import PointCloud, ball_window, sample_ppp
 
 
@@ -62,6 +63,34 @@ def test_window_policy_radii():
     shifted = local_crossing_spec(1.0, center=[3.0, 4.0])
     assert shifted.window(2).radius == pytest.approx(5.0 + 3.05)
     assert local_crossing_spec(1.0).window(2).radius == pytest.approx(3.05)
+
+
+def _local_crossing_flips(model, window, lam: float, seeds) -> int:
+    """Replicates on which the local crossing at r = 0.5 on ``window`` differs from the one on a window
+    wider by the context radius + 1, whose cloud's points in ``window`` (ids kept) it reads."""
+    event, d = local_crossing_spec(0.5), model.d
+    wide = ball_window(window.radius + model.context_radius + 1.0, d=d)
+    flips = 0
+    for seed in seeds:
+        cloud = sample_ppp(wide, lam, seed=seed)
+        keep = np.linalg.norm(cloud.positions, axis=1) <= window.radius
+        inner = replace(cloud, window=window, positions=cloud.positions[keep], marks=cloud.marks[keep], ids=cloud.ids[keep])
+        flips += event.evaluate(build_graph(inner, model, seed=seed)) != event.evaluate(build_graph(cloud, model, seed=seed))
+    return flips
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_generalized_local_crossing_needs_no_point_beyond_its_window(d):
+    # a damped edge reads the points within the damping radius of its midpoint, so the
+    # policy window of a generalized model's local crossing grows by that radius
+    model = demo_generalized(d)
+    event = local_crossing_spec(0.5)
+    assert model.context_radius == model.damping_radius and catalog(d)["plain-indicator"].context_radius == 0.0
+    policy = event.window(d, context=model.context_radius)
+    assert policy.radius == pytest.approx(3.05 * 0.5 + model.damping_radius)
+    assert _local_crossing_flips(model, policy, 1.6, range(100)) == 0
+    # negative control: without the context radius, a point beyond the window damps some edge
+    assert _local_crossing_flips(model, event.window(d), 1.6, range(100)) > 0
 
 
 def test_truncation_radii():

@@ -197,7 +197,7 @@ def test_framework_counterexample_asymmetric(monkeypatch):
     rep = validate_framework(m, n_samples=2000, seed=5)
     assert not rep.symmetric
     assert rep.integral_verdict == "skipped"
-    assert any("FAIL" in line for line in rep.lines())
+    assert not rep.ok
 
 
 def test_mark_average_monte_carlo_oracle():
@@ -296,14 +296,27 @@ def test_pareto_sum_survival_closed_form_at_unit_shape():
     st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=40),
 )
 def test_mark_average_array_in_range_monotone_and_elementwise(d, name, log_rhos):
+    # with distances whose d-th power leaves the float range, and rho = inf, where phibar is 0
     model = catalog(d)[name]
-    rhos = np.sort(10.0 ** np.asarray(log_rhos))
+    rhos = np.sort(np.append(10.0 ** np.asarray(log_rhos), [1e300, math.inf]))
     vals = mark_averaged_connection(model, rhos)
     assert vals.shape == rhos.shape
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert np.all(np.diff(vals) <= 1e-12 * vals[:-1])
     scalar = np.array([mark_averaged_connection(model, float(r)) for r in rhos])
     np.testing.assert_allclose(vals, scalar, rtol=1e-12, atol=1e-300)
+
+
+def test_framework_integral_linear_in_beta_past_the_float_range():
+    # s = rho^d / beta makes the integral beta times the beta = 1 one; at beta = 1e300 in d = 8
+    # rho^8 leaves the float range inside the quadrature, which once made the integral nan
+    def integral(beta):
+        model = classical_model(8, Kernel("product"), indicator_profile(1.0), tau=2.5, beta=beta)
+        report = validate_framework(model, n_samples=2000, seed=0)
+        assert report.ok and report.integral_verdict == "finite"
+        return report.integral_value / beta
+
+    assert integral(1e300) == pytest.approx(integral(1.0), rel=1e-9)
 
 
 def test_framework_sum_poly_fast_and_finite():

@@ -8,6 +8,8 @@ from scipy import integrate
 
 from reference import radial_integral_quad
 
+from perco.errors import ConfigurationError
+from perco.estimators import campbell_long_edges
 from perco.models import catalog, mark_averaged_connection, phibar_breakpoints
 from perco.ppp import sphere_surface, unit_ball_volume
 from perco.quadrature import cap_fraction_outside, lens_volume, radial_integral
@@ -51,6 +53,15 @@ def test_radial_integral_lower_limit():
     # tail-only integral with lower inside the power-law zone
     res2 = radial_integral(lambda r: np.minimum(1.0, r**-4.0), 1, lower=3.0, breakpoints=[1.0])
     assert res2.value == pytest.approx(integrate.quad(lambda r: r**-4.0, 3.0, np.inf)[0], rel=1e-6)
+
+
+def test_radial_integral_non_finite_lower_limit():
+    # lower = inf is an empty range, also where a Campbell count's c*r overflows to it
+    res = radial_integral(lambda r: np.minimum(1.0, r**-4.0), 2, lower=math.inf)
+    assert (res.value, res.verdict) == (0.0, "finite")
+    assert campbell_long_edges(catalog(2)["plain-poly"], 1.0, 10.0, 1e308) == 0.0
+    with pytest.raises(ConfigurationError, match="lower limit must be >= 0, got nan"):
+        radial_integral(lambda r: np.minimum(1.0, r**-4.0), 2, lower=math.nan)
 
 
 # quad's roundoff warnings at the requested 1e-10 are judged by the assertion

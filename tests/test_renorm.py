@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference
+from perco import renorm
 from perco.errors import ConfigurationError, ContractError
 from perco.estimators import replicate_seed
 from perco.models import (
@@ -58,7 +59,8 @@ def test_renorm_subcritical_boolean():
         assert row.g_est.hits <= row.c_est.hits  # local crossing implies crossing
         assert row.fitted_C is not None and row.fitted_C >= 0
     assert table.inclusion_violations == 0
-    assert any("fitted constant" in line for line in table.lines())
+    fitted = [row.fitted_C for row in table.rows]
+    assert all(c > 0 for c in fitted) and table.stable == (max(fitted) <= 2.0 * min(fitted))
 
 
 def test_renorm_scale_validation():
@@ -85,7 +87,7 @@ def test_bracket_zero_profile_never_crosses():
     assert result.never_crosses
     assert result.lam_lo == result.lam_hi == 2.0
     assert all(est.hits == 0 for _, est in result.evaluations)
-    assert any("never reaches" in line for line in result.lines())
+    assert not result.crosses_below_lo and result.note == "finite-scale proxy at r = 1"
 
 
 def test_bracket_crosses_below_lower_bound():
@@ -135,6 +137,15 @@ def test_bracket_validation_and_default_scale():
     # window at that scale holds about the budgeted number of points
     expected_points = 2.0 * np.pi * (2.05 * scale) ** 2
     assert expected_points == pytest.approx(100_000, rel=1e-6)
+
+
+def test_bracket_defaults_to_the_budgeted_probe_scale(monkeypatch):
+    monkeypatch.setattr(renorm, "BRACKET_POINT_BUDGET", 300)
+    model = catalog(d=2)["plain-indicator"]
+    scale = default_probe_scale(model, lam_max=2.0)
+    assert 2.0 * np.pi * (2.05 * scale) ** 2 == pytest.approx(300, rel=1e-6)
+    kwargs = dict(lam_min=0.5, lam_max=2.0, n=30, seed=4, k_max=3)
+    assert bracket_crossing_intensity(model, **kwargs) == bracket_crossing_intensity(model, r_probe=scale, **kwargs)
 
 
 def test_thresholds_reject_generalized_models():
