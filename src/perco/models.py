@@ -428,7 +428,8 @@ def _kernel_survival(model: ModelSpec, y) -> np.ndarray:
     ly = np.log(np.maximum(y, 1.0))
     x = np.exp(-alpha * ly)
     if model.kernel.kind == "product":  # ln W_1 + ln W_2 is Gamma(2, alpha)
-        return x * (1.0 + alpha * ly)
+        with np.errstate(invalid="ignore"):
+            return np.where(x > 0.0, x * (1.0 + alpha * ly), 0.0)  # not 0 * inf where y overflowed to inf
     return x * (2.0 - x)  # min kernel: P(max(W_1, W_2) >= y)
 
 
@@ -454,27 +455,14 @@ def _classical_phibar(model: ModelSpec, s: np.ndarray) -> np.ndarray:
     return pieces.sum(axis=-1) + prof.heights[-1] * _kernel_survival(model, s / prof.knots[-1])
 
 
-def _far_classical_phibar(model: ModelSpec, rho: np.ndarray) -> np.ndarray:
-    """phibar where rho^d / beta may leave the float range: (rho / beta^(1/d))^d there, and 0 past it."""
-    with np.errstate(over="ignore"):
-        s = rho**model.d / model.beta
-        big = np.isinf(s)
-        s[big] = (rho[big] / model.beta ** (1.0 / model.d)) ** model.d
-    out = np.zeros(s.shape)  # an infinite profile argument connects no pair
-    finite = s < math.inf
-    out[finite] = _classical_phibar(model, s[finite])
-    return out
-
-
-def _phibar(model: ModelSpec, rho: np.ndarray) -> np.ndarray:
+def _phibar(model: ModelSpec, arg: np.ndarray) -> np.ndarray:
+    """phibar at a finite argument: s = rho^d / beta for classical models, rho for boolean ones."""
     if model.variant == "classical":
-        if rho.max() < (1e308 * min(model.beta, 1.0)) ** (1.0 / model.d):  # rho^d and rho^d / beta stay finite
-            return _classical_phibar(model, rho**model.d / model.beta)
-        return _far_classical_phibar(model, rho)
+        return _classical_phibar(model, arg)
     law = model.radius_law
     if law.kind == "constant":
-        return np.where(rho < 2.0 * law.radius, 1.0, 0.0)
-    return _pareto_sum_survival(law.shape, rho / law.scale)  # P(R_1 + R_2 > rho), R = scale * W
+        return np.where(arg < 2.0 * law.radius, 1.0, 0.0)
+    return _pareto_sum_survival(law.shape, arg / law.scale)  # P(R_1 + R_2 > rho), R = scale * W
 
 
 def mark_averaged_connection(model: ModelSpec, rho):
@@ -488,9 +476,17 @@ def mark_averaged_connection(model: ModelSpec, rho):
     flat = np.asarray(rho, dtype=float).reshape(-1)
     out = np.where(np.isnan(flat), np.nan, 1.0)  # phibar = 1 at rho <= 0
     pos = np.flatnonzero(flat > 0.0)
-    for lo in range(0, pos.size, _RHO_BLOCK):
-        idx = pos[lo : lo + _RHO_BLOCK]
-        out[idx] = np.clip(_phibar(model, flat[idx]), 0.0, 1.0)
+    with np.errstate(over="ignore"):  # an argument past the float range connects no pair
+        arg = flat[pos]
+        if model.variant == "classical":
+            arg = arg**model.d / model.beta
+            big = np.isinf(arg)  # rho^d alone may overflow where rho^d / beta does not
+            arg[big] = (flat[pos[big]] / model.beta ** (1.0 / model.d)) ** model.d
+        finite = arg < math.inf
+        out[pos[~finite]] = 0.0
+        pos, arg = pos[finite], arg[finite]
+        for lo in range(0, pos.size, _RHO_BLOCK):
+            out[pos[lo : lo + _RHO_BLOCK]] = np.clip(_phibar(model, arg[lo : lo + _RHO_BLOCK]), 0.0, 1.0)
     return float(out[0]) if np.ndim(rho) == 0 else out.reshape(np.shape(rho))
 
 

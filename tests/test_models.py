@@ -298,13 +298,27 @@ def test_pareto_sum_survival_closed_form_at_unit_shape():
 def test_mark_average_array_in_range_monotone_and_elementwise(d, name, log_rhos):
     # with distances whose d-th power leaves the float range, and rho = inf, where phibar is 0
     model = catalog(d)[name]
-    rhos = np.sort(np.append(10.0 ** np.asarray(log_rhos), [1e300, math.inf]))
+    rhos = np.sort(np.append(10.0 ** np.asarray(log_rhos), [1e300, 1.5e308, math.inf]))
     vals = mark_averaged_connection(model, rhos)
     assert vals.shape == rhos.shape
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert np.all(np.diff(vals) <= 1e-12 * vals[:-1])
     scalar = np.array([mark_averaged_connection(model, float(r)) for r in rhos])
     np.testing.assert_allclose(vals, scalar, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("kernel", ["product", "sum", "min"])
+@pytest.mark.parametrize(
+    "profile", [indicator_profile(0.5), custom_profile([0.25, 0.5], [1.0, 0.5])], ids=["indicator", "custom"]
+)
+def test_mark_average_in_range_where_the_profile_divisor_overflows(kernel, profile):
+    # s = rho^d / beta is finite at rho = 1.5e308 in d = 1, but s over a threshold or knot below 1 is not
+    model = classical_model(1, Kernel(kernel), profile, tau=2.5)
+    vals = mark_averaged_connection(model, np.array([1e300, 1.5e308, math.inf]))
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.diff(vals) <= 0.0) and vals[-1] == 0.0
+    heavy = boolean_model(1, RadiusLaw(kind="pareto", shape=1.5, scale=0.5))
+    assert mark_averaged_connection(heavy, 1.5e308) == 0.0
 
 
 def test_framework_integral_linear_in_beta_past_the_float_range():
